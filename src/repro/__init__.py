@@ -31,10 +31,6 @@ from repro.ring.configs import (
 )
 from repro.core.scheduler import Scheduler
 from repro.protocols.base import CoordinationResult, LocationDiscoveryResult
-from repro.protocols.full_stack import (
-    solve_coordination,
-    solve_location_discovery,
-)
 from repro.api import (
     FixedPolicy,
     Fleet,
@@ -76,8 +72,6 @@ __all__ = [
     "SessionSpec",
     "RunReport",
     "sweep",
-    "solve_coordination",
-    "solve_location_discovery",
     "discover_ring_size",
     "randomized_location_discovery",
     "anonymous_configuration",

@@ -6,7 +6,7 @@ Usage::
     python -m repro run [coordination|location-discovery] [--n 8]
                         [--model perceptive] [--seed 2024]
                         [--backend lattice|fraction|array]
-                        [--shard 4] [--common-sense]
+                        [--common-sense]
                         [--driver native|callback]
                         [--unchecked] [--json]
                         [--cache|--no-cache] [--cache-dir DIR]
@@ -39,9 +39,6 @@ Usage::
                                     [--out BENCH.json]
     python -m repro bench-fleet [--sessions 16] [--n 24] [--workers 4]
                                 [--repeats 3] [--out BENCH.json]
-    python -m repro bench-shard [--sizes 65536,262144,1048576]
-                                [--shards 4] [--rounds 48]
-                                [--out BENCH.json]
     python -m repro bench-cache [--sessions 8] [--n 16] [--dupes 4]
                                 [--out BENCH.json]
 
@@ -175,8 +172,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         ReproError,
     )
 
-    if args.shard is not None and args.backend != "array":
-        args.parser.error("--shard requires --backend array")
     faults = _parse_faults(args)
     if faults is not None:
         try:
@@ -185,19 +180,21 @@ def _cmd_run(args: argparse.Namespace) -> None:
             args.parser.error(f"--faults: {exc}")
     from repro.store.service import resolve_cache
 
-    session = RingSession(
-        n=args.n,
-        model=args.model,
-        backend=args.backend,
-        seed=args.seed,
-        common_sense=args.common_sense,
-        driver=args.driver,
-        unchecked=args.unchecked,
-        shards=args.shard,
-        cache=resolve_cache(args.cache),
-        cache_dir=args.cache_dir,
-        faults=faults,
-    )
+    try:
+        session = RingSession(
+            n=args.n,
+            model=args.model,
+            backend=args.backend,
+            seed=args.seed,
+            common_sense=args.common_sense,
+            driver=args.driver,
+            unchecked=args.unchecked,
+            cache=resolve_cache(args.cache),
+            cache_dir=args.cache_dir,
+            faults=faults,
+        )
+    except ConfigurationError as exc:
+        args.parser.error(str(exc))
     try:
         result = session.run(args.protocol)
     except ReproError as exc:
@@ -330,13 +327,16 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> None:
-    from repro import Model, RingSession
+    from repro import ConfigurationError, Model, RingSession
 
     model = Model(args.model)
-    session = RingSession(
-        n=args.n, model=model, seed=args.seed, backend=args.backend,
-        common_sense=False,
-    )
+    try:
+        session = RingSession(
+            n=args.n, model=model, seed=args.seed, backend=args.backend,
+            common_sense=False,
+        )
+    except ConfigurationError as exc:
+        args.parser.error(str(exc))
     print(f"n={args.n}, model={model.value}, N={session.state.id_bound}, "
           f"backend={args.backend}")
     result = session.run("location-discovery")
@@ -346,124 +346,77 @@ def _cmd_demo(args: argparse.Namespace) -> None:
     print("agent 0's reconstructed gaps:", result.gaps_by_agent[0])
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import backend_shootout
-
-    report = backend_shootout(
-        n=args.n, rounds=args.rounds, seed=args.seed, repeats=args.repeats
-    )
+def _emit_report(args: argparse.Namespace, report: object) -> None:
+    """Print a bench report as JSON and, with --out, also write it."""
     print(json.dumps(report, indent=2))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}")
+
+
+def _cmd_bench(args: argparse.Namespace) -> None:
+    from repro.experiments.harness import backend_shootout
+
+    _emit_report(args, backend_shootout(
+        n=args.n, rounds=args.rounds, seed=args.seed, repeats=args.repeats
+    ))
 
 
 def _cmd_bench_policies(args: argparse.Namespace) -> None:
     from repro.experiments.harness import policy_shootout
 
-    report = policy_shootout(
+    _emit_report(args, policy_shootout(
         sizes=tuple(_sizes(args.sizes)), seed=args.seed,
         repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_bench_array(args: argparse.Namespace) -> None:
     from repro.experiments.harness import array_shootout
 
-    report = array_shootout(
+    _emit_report(args, array_shootout(
         sizes=tuple(_sizes(args.sizes)), seed=args.seed,
         repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_bench_speculative(args: argparse.Namespace) -> None:
     from repro.experiments.harness import speculative_shootout
 
-    report = speculative_shootout(
+    _emit_report(args, speculative_shootout(
         sizes=tuple(_sizes(args.sizes)), distances_n=args.distances_n,
         seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_bench_equations(args: argparse.Namespace) -> None:
     from repro.experiments.harness import equations_shootout
 
-    report = equations_shootout(
+    _emit_report(args, equations_shootout(
         distances_sizes=tuple(_sizes(args.distances_sizes)),
         sweep_sizes=tuple(_sizes(args.sweep_sizes)),
         seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_bench_fleet(args: argparse.Namespace) -> None:
     from repro.experiments.harness import fleet_shootout
 
-    report = fleet_shootout(
+    _emit_report(args, fleet_shootout(
         sessions=args.sessions, n=args.n, workers=args.workers,
         seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-
-
-def _cmd_bench_shard(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import shard_shootout
-
-    report = shard_shootout(
-        sizes=tuple(_sizes(args.sizes)), shards=args.shards,
-        rounds=args.rounds, seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_bench_cache(args: argparse.Namespace) -> None:
     from repro.experiments.harness import cache_shootout
 
-    report = cache_shootout(
+    _emit_report(args, cache_shootout(
         sessions=args.sessions, n=args.n, dupes=args.dupes,
         seed=args.seed, repeats=args.repeats,
-    )
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    ))
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -606,12 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=2024)
     run.add_argument("--common-sense", action="store_true")
-    run.add_argument(
-        "--shard", type=int, default=None, metavar="WORKERS",
-        help="run the array backend's fused spans across this many "
-        "worker processes over shared memory (requires --backend "
-        "array; bit-identical results, only worth it for large rings)",
-    )
     _add_backend(run)
     _add_driver(run)
     _add_json(run)
@@ -759,21 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="also write the JSON report to this path"
     )
     bf.set_defaults(fn=_cmd_bench_fleet)
-
-    bsh = sub.add_parser(
-        "bench-shard",
-        help="time sharded whole-ring fused spans against the serial "
-        "array backend on large rings",
-    )
-    bsh.add_argument("--sizes", default="65536,262144,1048576")
-    bsh.add_argument("--shards", type=int, default=4)
-    bsh.add_argument("--rounds", type=int, default=48)
-    bsh.add_argument("--seed", type=int, default=11)
-    bsh.add_argument("--repeats", type=int, default=3)
-    bsh.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bsh.set_defaults(fn=_cmd_bench_shard)
 
     bc = sub.add_parser(
         "bench-cache",

@@ -13,9 +13,6 @@ downstream users build on:
   :func:`~repro.api.registry.list_protocols`);
 * :class:`~repro.api.fleet.Fleet` -- many sessions across a worker
   pool, reported as structured JSON.
-
-The legacy ``solve_coordination`` / ``solve_location_discovery``
-functions remain as deprecated shims over this package.
 """
 
 from repro.api.policy import (

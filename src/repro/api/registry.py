@@ -1,12 +1,11 @@
 """Protocol registry: named end-to-end pipelines as declarative phases.
 
-The hand-rolled phase chains that used to live in
-:mod:`repro.protocols.full_stack` are expressed here as data: a
-registered :class:`ProtocolSpec` plans a list of named :class:`Phase`
-steps for a concrete setting (model, parity, common sense) and collects
-the final result from the scheduler.  Planning is separated from
-execution, so per-phase round counts, phase listing and stepwise
-execution/resume (see :class:`~repro.api.session.RingSession`) need no
+Each end-to-end pipeline is expressed here as data: a registered
+:class:`ProtocolSpec` plans a list of named :class:`Phase` steps for a
+concrete setting (model, parity, common sense) and collects the final
+result from the scheduler.  Planning is separated from execution, so
+per-phase round counts, phase listing and stepwise execution/resume
+(see :class:`~repro.api.session.RingSession`) need no
 protocol-specific code.
 
 Every phase exists in two interchangeable implementations, selected by
@@ -20,8 +19,27 @@ the ``driver`` planning argument:
 
 The two are bit-exact (property-tested in
 ``tests/test_native_policies.py``).  Routing follows Table I / Table II
-of the paper exactly as before; see the
-:mod:`repro.protocols.full_stack` table for the per-cell pipelines.
+of the paper:
+
+===========================  =========================================
+Setting                      Pipeline
+===========================  =========================================
+odd n (any model)            DirAgr (Prop 17, O(1)) -> leader via
+                             emptiness bisection (O(log N)) -> NMove
+                             from leader (O(1))
+even n, basic/lazy           NMove via the published distinguisher
+                             sequence (Thm 27) -> DirAgr (Alg 1) ->
+                             leader (Alg 2)
+even n, perceptive           NMoveS (Alg 4, O(√n log N)) -> DirAgr ->
+                             leader (Alg 2)
+common chirality declared    leader via emptiness bisection (Lemma 13)
+                             -> NMove from leader
+===========================  =========================================
+
+Location discovery then runs the best discovery phase for the model:
+rotation-1 sweep (lazy, n rounds), rotation-2 sweep (basic, odd n only
+-- Lemma 5 forbids even n), or neighbor discovery + RingDist + ring-size
+broadcast + Distances (perceptive, even n, n/2 + o(n)).
 """
 
 from __future__ import annotations

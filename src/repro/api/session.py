@@ -10,10 +10,7 @@ backend) and the protocol registry behind a single builder::
 ``backend=`` accepts ``"lattice"`` (default), ``"fraction"`` (exact
 reference) or ``"array"`` (whole-column fused stretches for large
 rings; numpy-accelerated when numpy is installed) -- results are
-bit-identical across all three for both drivers.  ``shards=`` puts the
-array backend's fused spans onto a pool of worker processes over
-shared memory (:mod:`repro.parallel`), still bit-identical; it is only
-worth it for large rings (CLI: ``--shard``).
+bit-identical across all three for both drivers.
 
 Sessions can also wrap existing objects (:meth:`RingSession.from_state`,
 :meth:`RingSession.from_scheduler`), plan a protocol without running it
@@ -54,22 +51,6 @@ def _resolve_model(model: Union[Model, str]) -> Model:
     return model if isinstance(model, Model) else Model(model)
 
 
-def _sharded_backend(backend: BackendSpec, shards: int) -> BackendSpec:
-    """Resolve ``shards=``: the array backend, sharded when shards > 1."""
-    if shards < 1:
-        raise ConfigurationError("shards must be >= 1")
-    if backend not in (None, "array"):
-        raise ConfigurationError(
-            f"shards= applies to the array backend only, not "
-            f"backend={backend!r}"
-        )
-    if shards == 1:
-        return "array"
-    from repro.parallel.shard import ShardedArrayBackend
-
-    return ShardedArrayBackend(shards=shards)
-
-
 class RingSession:
     """One ring, one scheduler, one protocol run (or many ad-hoc rounds).
 
@@ -90,12 +71,6 @@ class RingSession:
             (property-tested); round counts and agent logs are not,
             because the skipped rounds never happen.  CLI:
             ``--unchecked``.
-        shards: When > 1, run the array backend's fused spans across
-            this many worker processes over shared memory
-            (:class:`~repro.parallel.shard.ShardedArrayBackend`);
-            results stay bit-identical to the serial backends.  Only
-            valid with ``backend=None`` or ``"array"``.  CLI:
-            ``--shard``.
     """
 
     def __init__(
@@ -113,7 +88,6 @@ class RingSession:
         scheduler: Optional[Scheduler] = None,
         cross_validate: bool = False,
         unchecked: bool = False,
-        shards: Optional[int] = None,
         cache: bool = False,
         cache_dir: Optional[str] = None,
         faults: FaultPlanLike = None,
@@ -149,7 +123,6 @@ class RingSession:
                     ("config", config is not None),
                     ("cross_validate", cross_validate),
                     ("unchecked", unchecked),
-                    ("shards", shards is not None),
                     ("faults", self.faults is not None),
                 )
                 if given
@@ -162,16 +135,12 @@ class RingSession:
             self.scheduler = scheduler
             self.faults = scheduler.faults
         else:
-            if shards is not None and shards > 1:
-                backend_label: Optional[str] = "array"
-            elif backend is None:
-                backend_label = DEFAULT_BACKEND
+            if backend is None:
+                backend_label: Optional[str] = DEFAULT_BACKEND
             elif isinstance(backend, str):
                 backend_label = backend
             else:
                 backend_label = getattr(backend, "name", None)
-            if shards is not None:
-                backend = _sharded_backend(backend, shards)
             model = _resolve_model(model) if model is not None else Model.BASIC
             if state is None:
                 if n is None:
@@ -273,7 +242,6 @@ class RingSession:
         driver: Optional[str] = None,
         cross_validate: bool = False,
         unchecked: bool = False,
-        shards: Optional[int] = None,
         faults: FaultPlanLike = None,
     ) -> "RingSession":
         """Wrap an existing world state (the caller keeps ownership)."""
@@ -281,7 +249,7 @@ class RingSession:
             state=state, model=model, backend=backend,
             common_sense=common_sense, driver=driver,
             cross_validate=cross_validate, unchecked=unchecked,
-            shards=shards, faults=faults,
+            faults=faults,
         )
 
     @classmethod

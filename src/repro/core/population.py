@@ -220,25 +220,6 @@ class Population:
         """The raw column for ``key``, or ``default`` if absent."""
         return self._columns.get(key, default)
 
-    def column_ints(self, key: str) -> List[int]:
-        """The column for ``key``, checked to hold plain ints only.
-
-        The zero-copy seam of :mod:`repro.parallel.shm` exists for
-        integer columns exclusively -- this is the validated read it
-        builds shared-memory mirrors from.  Raises ``TypeError`` on
-        the first non-int cell (bools and :data:`MISSING` included:
-        neither has an int64 shared-memory representation).
-        """
-        cells = self._columns[key]
-        for slot, cell in enumerate(cells):
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise TypeError(
-                    f"population column {key!r} slot {slot} holds "
-                    f"{type(cell).__name__}, not int; only integer "
-                    "columns can be mirrored into shared memory"
-                )
-        return cells
-
     def set_column(self, key: str, values: Sequence[Any]) -> List[Any]:
         """Replace the whole column for ``key`` with ``values``."""
         values = list(values)

@@ -8,7 +8,7 @@ import platform
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -1153,160 +1153,6 @@ def cache_shootout(
         "warm_speedup": round(recompute_best / warm_best, 2),
         "dedup_speedup": round(dup_uncached_best / dup_best, 2),
         "entries": len(specs),
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-
-def _shard_rows(n: int, phase: int) -> Tuple[list, list]:
-    """A mixed, idle-free velocity row pair for the shard workload.
-
-    Three quarters of the agents move clockwise, one quarter counter-
-    clockwise (net rotation n/2 per round), with the minority slots
-    shifted by ``phase`` so each timed repeat plans distinct rows --
-    distinct rows cannot hit the backend's whole-stretch memo, so
-    every repeat times real column work.
-    """
-    row_a = [-1 if (i + phase) % 4 == 0 else 1 for i in range(n)]
-    row_b = [-v for v in row_a]
-    return row_a, row_b
-
-
-def _shard_digest(result, backend) -> str:
-    """SHA-256 over a span's full observable output (bit-exact check)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(repr(result.rotations).encode())
-    h.update(repr(backend.offset).encode())
-    dist = result.dist_ints_all()
-    h.update(dist.tobytes())
-    for j in range(result.k):
-        coll = result.coll_ints(j)
-        if coll is not None:
-            h.update(coll.tobytes())
-    return h.hexdigest()
-
-
-def shard_shootout(
-    sizes: Sequence[int] = (65536, 262144, 1048576),
-    shards: int = 4,
-    rounds: int = 48,
-    seed: int = 11,
-    model: str = "perceptive",
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time sharded whole-ring fused spans against the serial backend.
-
-    For each ring size a jittered-equidistant state runs one
-    ``rounds``-round mixed-direction span (closed-form collisions
-    included) on the serial array backend and on
-    :class:`~repro.parallel.shard.ShardedArrayBackend` with ``shards``
-    workers.  Bit-exactness is enforced *before* any timing: the two
-    engines' first spans must produce identical rotation schedules,
-    offsets and dist/coll columns (SHA-256 over the raw int64
-    matrices; a mismatch raises ``SimulationError``).  The shard pool
-    is warmed before the timed region; per-repeat rows are phase
-    shifted so the whole-stretch memo cannot short-circuit a repeat.
-
-    Timings are best-of-``repeats`` per engine; state construction and
-    scheduler setup stay outside every timed region.  ``speedup`` is
-    serial over sharded -- on a single-CPU host sharding only adds
-    IPC and copy-out cost (expect < 1.0x; ``cpu_count`` is recorded),
-    on multicore it approaches ``min(shards, cpus)`` for spans large
-    enough to amortise the exchange.
-
-    Returns a JSON-ready report (the ``BENCH_shard.json`` payload).
-    """
-    import os
-
-    from repro.core.scheduler import Scheduler
-    from repro.exceptions import SimulationError
-    from repro.parallel.pool import get_pool
-    from repro.parallel.shard import ShardedArrayBackend
-    from repro.ring import configs
-    from repro.ring.stretch import Stretch
-    from repro.types import Model
-
-    repeats = max(1, repeats)
-    model_enum = Model(model)
-    get_pool(shards).warm()  # pool spin-up excluded from timed regions
-
-    def make_backend(sharded: bool):
-        if sharded:
-            return ShardedArrayBackend(shards=shards)
-        from repro.ring.backends import ArrayBackend
-
-        return ArrayBackend()
-
-    results: List[Dict[str, object]] = []
-    for n in sizes:
-        half = rounds // 2
-        spans = {}
-        timings: Dict[str, float] = {}
-        for label, sharded in (("serial", False), ("sharded", True)):
-            # Engines get identical, independently built states: the
-            # generator is deterministic in (n, seed).
-            state = configs.jittered_equidistant_configuration(n, seed=seed)
-            # Bit-exact check span (untimed; phase 0 on both engines).
-            row_a, row_b = _shard_rows(n, 0)
-            check = Stretch(
-                pairs=[(row_a, half), (row_b, rounds - half)]
-            )
-            backend = make_backend(sharded)
-            sched = Scheduler(state, model_enum, backend=backend)
-            res = sched.run_stretch(check)
-            spans[label] = _shard_digest(res, backend)
-            if sharded and n >= backend.min_n and backend.sharded_spans == 0:
-                raise SimulationError(
-                    "sharded engine fell back to serial execution "
-                    f"at n={n}; the benchmark would time nothing"
-                )
-            # Timed repeats: fresh scheduler per repeat (drops the
-            # previous span's history and columns), phase-shifted rows
-            # (defeats the whole-stretch memo), state build excluded.
-            best = None
-            for rep in range(repeats):
-                row_a, row_b = _shard_rows(n, rep + 1)
-                stretch = Stretch(
-                    pairs=[(row_a, half), (row_b, rounds - half)]
-                )
-                backend = make_backend(sharded)
-                sched = Scheduler(state, model_enum, backend=backend)
-                start = time.perf_counter()
-                sched.run_stretch(stretch)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            timings[label] = best
-            if sharded:
-                backend.release_shared()
-        if spans["serial"] != spans["sharded"]:
-            raise SimulationError(
-                f"shard-vs-serial outputs differ at n={n}: "
-                f"{spans['serial']} != {spans['sharded']}"
-            )
-        results.append({
-            "n": n,
-            "rounds": rounds,
-            "bit_exact": True,
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup": round(timings["serial"] / timings["sharded"], 2),
-        })
-    return {
-        "benchmark": "shard_shootout",
-        "workload": {
-            "sizes": list(sizes),
-            "shards": shards,
-            "rounds": rounds,
-            "model": model,
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "bit_exact_before_timing": True,
-        "results": results,
-        "speedup_at_largest_n": results[-1]["speedup"] if results else None,
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -1,6 +1,6 @@
-"""Zero-copy shared-memory execution: arenas, warm pools, sharded rings.
+"""Zero-copy shared-memory execution: arenas and warm pools.
 
-Three rungs, each building on the previous one:
+Two rungs, the second building on the first:
 
 * :mod:`repro.parallel.shm` -- a named-column allocator over
   :mod:`multiprocessing.shared_memory`: int64 and byte columns packed
@@ -15,14 +15,8 @@ Three rungs, each building on the previous one:
   Fleet jobs pass only ``(arena name, spec index)``-sized tuples; spec
   payloads and result rows travel through shm slots, not pickles.
 
-* :mod:`repro.parallel.shard` -- :class:`ShardedArrayBackend`: one
-  large ring's fused-stretch columns computed by several workers, each
-  owning a contiguous slot range.  The round-boundary merge is a
-  rotation-offset exchange (Lemma 1): workers share only the frozen
-  prefix mirror and the span's rotation schedule, never column data.
-
-Everything degrades gracefully: no numpy, no usable shared memory or a
-single worker all fall back to the proven serial paths, bit-exact.
+Results are bit-identical to the serial executor, with or without
+numpy.
 """
 
 from repro.parallel.pool import (
@@ -31,22 +25,12 @@ from repro.parallel.pool import (
     run_specs_pooled,
     shutdown_pools,
 )
-from repro.parallel.shard import ShardedArrayBackend
-from repro.parallel.shm import (
-    ShmArena,
-    arena_from_arrays,
-    load_population_ints,
-    share_population_ints,
-)
+from repro.parallel.shm import ShmArena
 
 __all__ = [
     "ShmArena",
-    "ShardedArrayBackend",
     "WorkerPool",
-    "arena_from_arrays",
     "get_pool",
-    "load_population_ints",
     "run_specs_pooled",
-    "share_population_ints",
     "shutdown_pools",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import atexit
 from multiprocessing import shared_memory
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.ring.arrayops import get_numpy
@@ -267,48 +267,6 @@ class ShmArena:
             f"<ShmArena {self.name} {role} "
             f"cols={[k for k, _, _ in self.layout]}>"
         )
-
-
-def arena_from_arrays(columns: Dict[str, Sequence[int]]) -> ShmArena:
-    """Create an owned arena holding one int64 column per mapping entry,
-    filled from the given sequences (insertion order fixes the layout)."""
-    layout = tuple(
-        (key, "i64", len(values)) for key, values in columns.items()
-    )
-    arena = ShmArena.create(layout)
-    try:
-        for key, values in columns.items():
-            arena.write_ints(key, values)
-    except Exception:
-        try:
-            arena.close()
-        except BufferError:
-            pass
-        arena.unlink()  # the segment must not outlive a failed fill
-        raise
-    return arena
-
-
-def share_population_ints(population, keys: Sequence[str]) -> ShmArena:
-    """Snapshot integer-valued :class:`~repro.core.population.Population`
-    columns into a fresh owned arena (one int64 column per key, length
-    ``population.n``).  Cells must be plain ints (validated by
-    ``Population.column_ints``) -- the zero-copy seam only exists for
-    integer columns; object columns keep pickling."""
-    return arena_from_arrays(
-        {key: population.column_ints(key) for key in keys}
-    )
-
-
-def load_population_ints(
-    arena: ShmArena, population, keys: Optional[Sequence[str]] = None
-) -> None:
-    """Replace ``population`` columns from an arena written by
-    :func:`share_population_ints` (all arena columns by default)."""
-    if keys is None:
-        keys = [key for key, _kind, _count in arena.layout]
-    for key in keys:
-        population.set_column(key, arena.read_ints(key))
 
 
 def pack_blobs(parts: Sequence[bytes]) -> Tuple[bytes, List[int]]:

@@ -981,27 +981,6 @@ class ArrayBackend(LatticeBackend):
             return self._compute_stretch_np(derived, need_coll, total)
         return self._compute_stretch_py(derived, need_coll, total)
 
-    def _span_rotations(self, derived):
-        """A span's per-round rotation indices and its net rotation.
-
-        By Lemma 1 this scalar schedule is the *entire* round-boundary
-        state of a fused span: every round's columns are gathers
-        against the frozen mirrors at the accumulated offset.  The
-        sharded executor (:mod:`repro.parallel.shard`) ships exactly
-        this to its workers -- the "merge" between rounds is each
-        worker replaying the same offsets.
-        """
-        n = self.n
-        rotations: List[int] = []
-        off = self.offset
-        for (r, *_rest), count in derived:
-            for _ in range(count):
-                rotations.append(r)
-                off += r
-                if off >= n:
-                    off -= n
-        return rotations, (off - self.offset) % n
-
     def _commit_span(self, rounds: int, r_total: int) -> None:
         """Advance the offset and lazily commit ``rounds`` rounds."""
         n = self.n

@@ -18,13 +18,21 @@ from repro.types import Chirality
 _DEFAULT_DENOM_BITS = 20
 
 
+def _sample(rng: random.Random, population: range, n: int) -> List[int]:
+    """``n`` distinct draws from ``population``.  A negative ``n`` is a
+    configuration error here, not ``random.sample``'s bare ValueError."""
+    if n < 0:
+        raise ConfigurationError(f"n must be non-negative; got n={n}")
+    return rng.sample(population, n)
+
+
 def _distinct_positions(
     rng: random.Random, n: int, denom_bits: int
 ) -> List[Fraction]:
     denom = 1 << denom_bits
     if n > denom:
         raise ConfigurationError("denominator too small for n distinct slots")
-    ticks = rng.sample(range(denom), n)
+    ticks = _sample(rng, range(denom), n)
     ticks.sort()
     return [Fraction(t, denom) for t in ticks]
 
@@ -46,7 +54,7 @@ def _chiralities(
 def _ids(rng: random.Random, n: int, id_bound: int) -> List[int]:
     if id_bound < n:
         raise ConfigurationError(f"id_bound {id_bound} < n {n}")
-    return rng.sample(range(1, id_bound + 1), n)
+    return _sample(rng, range(1, id_bound + 1), n)
 
 
 def random_configuration(
@@ -125,7 +133,7 @@ def clustered_configuration(
     span_ticks = int(cluster_span * denom)
     if span_ticks < n:
         raise ConfigurationError("cluster_span too small for n agents")
-    ticks = rng.sample(range(span_ticks), n)
+    ticks = _sample(rng, range(span_ticks), n)
     ticks.sort()
     positions = [Fraction(t, denom) for t in ticks]
     return RingState(

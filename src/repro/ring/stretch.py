@@ -122,10 +122,9 @@ class Stretch:
     ``Stretch(row, k)`` plays one row ``k`` times; :meth:`of` builds a
     heterogeneous span; ``pairs`` is the internal run-length form
     ``[(row, count), ...]`` consumed by the simulator.  Every stretch
-    executor -- the serial fused path, speculative execution, and the
-    sharded multi-process path of :mod:`repro.parallel.shard` -- plans
-    from this same run-length form, so a plan built once runs
-    bit-identically on any of them.
+    executor -- the fused path and speculative execution -- plans from
+    this same run-length form, so a plan built once runs
+    bit-identically on either of them.
     """
 
     __slots__ = ("pairs", "rounds")

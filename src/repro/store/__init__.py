@@ -11,10 +11,10 @@ This package is that dictionary:
 * :mod:`repro.store.keys` -- the canonical run key: a SHA-256 digest
   over a pinned canonical-JSON serialisation of the backend-independent
   spec (protocol, n, model, seed, config, id bound, common sense,
-  unchecked, and the registry's phase plan).  Backend, driver, shard
-  count and executor are deliberately excluded: results are
-  property-tested bit-identical across all of them, which is what lets
-  a lattice-computed report serve an array request.
+  unchecked, and the registry's phase plan).  Backend, driver and
+  executor are deliberately excluded: results are property-tested
+  bit-identical across all of them, which is what lets a
+  lattice-computed report serve an array request.
 
 * :mod:`repro.store.store` -- :class:`~repro.store.store.RunStore`, a
   two-tier store: an in-process LRU dict in front of an on-disk

@@ -3,12 +3,11 @@
 A run's result is a pure function of its *backend-independent* spec:
 protocol, ring size, model, seed, configuration generator, ID bound,
 common sense of direction, unchecked mode, and the phase plan the
-registry routes that setting to.  Backend, driver, shard count,
-executor kind and worker count are deliberately **excluded** from the
-key: results are property-tested bit-identical across every
-combination of them, so excluding them is what lets a report computed
-once on the lattice backend serve later array, fraction, callback,
-sharded and pooled requests.
+registry routes that setting to.  Backend, driver, executor kind and
+worker count are deliberately **excluded** from the key: results are
+property-tested bit-identical across every combination of them, so
+excluding them is what lets a report computed once on the lattice
+backend serve later array, fraction, callback and pooled requests.
 
 The key document is serialised as canonical JSON -- sorted keys,
 compact separators, ASCII only -- and hashed with SHA-256.  The exact
@@ -96,7 +95,7 @@ def key_document(spec: "SessionSpec") -> Dict[str, object]:
     """The backend-independent key payload for ``spec``.
 
     Everything that determines the result is here; everything that is
-    merely an equivalent way of computing it (backend, driver, shards,
+    merely an equivalent way of computing it (backend, driver,
     executor, workers) is not.
     """
     document: Dict[str, object] = {

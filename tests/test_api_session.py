@@ -1,4 +1,4 @@
-"""RingSession / registry tests, and the solve_* deprecation shims."""
+"""RingSession / registry tests."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro import (
     get_protocol,
     list_protocols,
     random_configuration,
-    solve_coordination,
-    solve_location_discovery,
 )
 from repro.exceptions import ConfigurationError, ProtocolError
 
@@ -129,44 +127,50 @@ class TestRingSession:
         assert result.rounds_by_phase["direction_agreement"] == 0
 
 
-class TestDeprecatedShims:
+class TestExistingStateEntryPoints:
+    """``from_state`` / ``from_scheduler`` run a protocol on a ring the
+    caller already built; the result must be the one the seeded
+    builder gives for the same configuration."""
+
     @pytest.mark.parametrize("model", list(Model))
-    def test_solve_coordination_warns_and_matches(self, model):
-        state_new = random_configuration(8, seed=4, common_sense=False)
-        state_old = random_configuration(8, seed=4, common_sense=False)
-        expected = RingSession.from_state(state_new, model=model).run(
+    def test_from_state_coordination_matches_builder(self, model):
+        state = random_configuration(8, seed=4, common_sense=False)
+        expected = RingSession(n=8, model=model, seed=4).run("coordination")
+        result = RingSession.from_state(state, model=model).run(
             "coordination"
         )
-        with pytest.warns(DeprecationWarning, match="RingSession"):
-            legacy = solve_coordination(state_old, model)
-        assert legacy == expected
+        assert result == expected
 
     @pytest.mark.parametrize("model,n", [
         (Model.BASIC, 9), (Model.LAZY, 8), (Model.PERCEPTIVE, 8),
     ])
-    def test_solve_location_discovery_warns_and_matches(self, model, n):
-        state_new = random_configuration(n, seed=6, common_sense=False)
-        state_old = random_configuration(n, seed=6, common_sense=False)
-        expected = RingSession.from_state(state_new, model=model).run(
+    def test_from_state_location_discovery_matches_builder(self, model, n):
+        state = random_configuration(n, seed=6, common_sense=False)
+        expected = RingSession(n=n, model=model, seed=6).run(
             "location-discovery"
         )
-        with pytest.warns(DeprecationWarning, match="RingSession"):
-            legacy = solve_location_discovery(state_old, model)
-        assert legacy == expected
+        result = RingSession.from_state(state, model=model).run(
+            "location-discovery"
+        )
+        assert result == expected
 
-    def test_shim_infeasible_before_any_round(self):
+    def test_from_state_infeasible_before_any_round(self):
         state = random_configuration(8, seed=0, common_sense=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InfeasibleProblemError):
-                solve_location_discovery(state, Model.BASIC)
+        start = state.snapshot()
+        session = RingSession.from_state(state, model=Model.BASIC)
+        with pytest.raises(InfeasibleProblemError):
+            session.run("location-discovery")
+        assert session.rounds == 0
+        assert state.snapshot() == start
 
-    def test_shim_scheduler_reuse_still_works(self):
+    def test_from_scheduler_drives_that_scheduler(self):
         from repro.core.scheduler import Scheduler
 
         state = random_configuration(9, seed=5, common_sense=False)
         sched = Scheduler(state, Model.LAZY)
-        with pytest.warns(DeprecationWarning):
-            result = solve_coordination(state, Model.LAZY, scheduler=sched)
+        session = RingSession.from_scheduler(sched)
+        assert session.scheduler is sched
+        result = session.run("coordination")
         assert result.rounds == sched.rounds > 0
 
 

@@ -50,6 +50,8 @@ class TestRegistryEquivalenceOnArray:
             ("coordination", "perceptive", 12),
             ("location-discovery", "perceptive", 12),
             ("coordination", "lazy", 9),
+            ("location-discovery", "lazy", 8),
+            ("location-discovery", "basic", 9),
         ],
     )
     def test_protocols_bit_exact_across_backends(
@@ -169,6 +171,46 @@ class TestStretchPlans:
             ref.run_round(VectorPolicy(v)) for v in (vec, opp, vec, opp)
         ]
         assert outcomes == expected
+
+
+class TestMultiPairSpans:
+    """A fused span of several distinct rows is one gather pass on the
+    array backend; replayed round by round on the Fraction backend it
+    must give the same rotations, observations and end positions."""
+
+    N = 24
+
+    @staticmethod
+    def rows(n):
+        row_a = [R if i % 3 else L for i in range(n)]
+        return row_a, [d.opposite() for d in row_a]
+
+    @pytest.mark.parametrize("shape", ["runs", "alternating", "repeat"])
+    def test_span_matches_round_by_round(self, shape):
+        row_a, row_b = self.rows(self.N)
+        stretch = {
+            "runs": Stretch(pairs=[(row_a, 3), (row_b, 2), (row_a, 1)]),
+            "alternating": Stretch.of([row_a, row_b, row_b, row_a]),
+            "repeat": Stretch(row_a, 5),
+        }[shape]
+        state = random_configuration(self.N, seed=5, common_sense=False)
+        sched = Scheduler(state, Model.PERCEPTIVE, backend="array")
+        result = sched.run_stretch(stretch)
+        assert type(result).__name__ == "ArrayStretchResult"  # fused
+
+        ref = RingSimulator(
+            random_configuration(self.N, seed=5, common_sense=False),
+            Model.PERCEPTIVE, backend="fraction",
+        )
+        outcomes = [
+            ref.execute(row)
+            for row, count in stretch.pairs for _ in range(count)
+        ]
+        assert result.k == stretch.rounds == len(outcomes)
+        assert list(result.rotations) == [o.rotation_index for o in outcomes]
+        for j, outcome in enumerate(outcomes):
+            assert result.observations(j) == outcome.observations
+        assert state.positions == ref.state.positions
 
 
 class TestGuardRails:

@@ -149,6 +149,87 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["demo", "--model", "psychic"])
 
+    @pytest.mark.parametrize("verb", [["run", "location-discovery"], ["demo"]])
+    @pytest.mark.parametrize("n", ["3", "0", "-5"])
+    def test_bad_n_is_a_usage_error(self, capsys, verb, n):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "location-discovery", "--n", "8", "--model", "basic"],
+         "Lemma 5"),
+        (["run", "frisbee"], "unknown protocol"),
+        (["run", "location-discovery", "--n", "8",
+          "--faults", '{"seed":1,"crashes":{"9":0}}'], "--faults:"),
+        (["run", "coordination", "--shard", "2"], "--shard"),
+    ], ids=["infeasible", "unknown-protocol", "bad-fault-plan", "no-shard"])
+    def test_run_user_errors_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
+
+class TestCliFaults:
+    """A fault the protocol's own checks catch is the "detect" outcome:
+    reported on stdout with exit code 1, not a usage error (exit 2)."""
+
+    RUN = ["run", "location-discovery", "--n", "8", "--model", "perceptive",
+           "--seed", "3", "--no-cache",
+           "--faults", '{"seed":1,"max_rounds":3}']
+
+    def test_detected_fault_exits_1(self, capsys):
+        assert main(self.RUN) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "fault detected by location-discovery: FaultBudgetError"
+        )
+
+    def test_detected_fault_json(self, capsys):
+        assert main(self.RUN + ["--json"]) == 1
+        faults = json.loads(capsys.readouterr().out)["faults"]
+        assert faults["outcome"] == "detected"
+        assert faults["error"] == "FaultBudgetError"
+        assert faults["plan"]["max_rounds"] == 3
+
+
+class TestCliBenchReports:
+    """Every bench verb prints its JSON report; with --out it also
+    writes the same bytes to the file and says so on the last line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n", "8", "--rounds", "4"],
+        ["bench-policies", "--sizes", "8"],
+        ["bench-array", "--sizes", "16"],
+        ["bench-speculative", "--sizes", "16", "--distances-n", "8"],
+        ["bench-equations", "--distances-sizes", "8", "--sweep-sizes", "16"],
+        ["bench-cache", "--sessions", "2", "--n", "8", "--dupes", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_out_file_matches_printed_report(self, capsys, tmp_path, argv):
+        path = tmp_path / "report.json"
+        assert main(argv + ["--repeats", "1", "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        tail = f"wrote {path}\n"
+        assert out.endswith(tail)
+        printed = out[: -len(tail)]
+        assert path.read_text() == printed
+        assert json.loads(printed)
+
+    def test_without_out_prints_only_the_report(self, capsys):
+        assert main(["bench", "--n", "8", "--rounds", "4",
+                     "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+
 
 class TestCliCache:
     """The --cache surface.  Every test pins --cache-dir to tmp_path:

@@ -1,12 +1,6 @@
-"""Deprecation hygiene: nothing in-tree still routes through the
-``solve_*`` shims, and the shims blame the right caller.
-
-The CLI and the examples must run clean under
-``-W error::DeprecationWarning`` (a shim call anywhere in their path
-would abort them), and the shims' warnings must carry a ``stacklevel``
-that attributes the warning to the *caller's* file -- not to
-``full_stack.py`` or a helper frame -- so downstream users see their
-own offending line.
+"""Deprecation hygiene: the CLI and the examples must run clean under
+``-W error::DeprecationWarning`` (a deprecated call anywhere in their
+path would abort them).
 """
 
 from __future__ import annotations
@@ -14,17 +8,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
-
-import pytest
-
-from repro.protocols.full_stack import (
-    solve_coordination,
-    solve_location_discovery,
-)
-from repro.ring.configs import random_configuration
-from repro.types import Model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,26 +56,3 @@ class TestNoShimsInTree:
         )
         assert proc.returncode == 0, proc.stderr
         assert "reconstructed" in proc.stdout
-
-
-class TestShimStacklevel:
-    """The warning must point at the caller of the shim -- this file."""
-
-    @pytest.mark.parametrize(
-        "shim,kwargs",
-        [
-            (solve_coordination, {"model": Model.BASIC}),
-            (solve_location_discovery, {"model": Model.LAZY}),
-        ],
-    )
-    def test_warning_blames_caller(self, shim, kwargs):
-        state = random_configuration(9, seed=1, common_sense=False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim(state, **kwargs)
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-        assert "deprecated" in str(deprecations[0].message)

@@ -1,27 +1,21 @@
 """Shared-memory arenas: layout validation, column round-trips, the
 owner/attachment lifecycle, and the no-leaked-segments guarantee.
 
-The arena is the zero-copy seam every parallel executor rides, so the
-tests pin its contract hard: a closed arena refuses views, closing
+The arena is the zero-copy seam the warm-pool fleet executor rides, so
+the tests pin its contract hard: a closed arena refuses views, closing
 with live views is a loud ``BufferError`` (never a silent
 use-after-free), attachments can never unlink, and every failure path
--- including an exception mid-fill -- leaves no segment behind.
+-- including an exception inside the owner's ``with`` -- leaves no
+segment behind.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.population import Population
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.parallel import shm
-from repro.parallel.shm import (
-    ShmArena,
-    arena_from_arrays,
-    load_population_ints,
-    pack_blobs,
-    share_population_ints,
-)
+from repro.parallel.shm import ShmArena, pack_blobs
 
 
 def owned_names():
@@ -156,62 +150,6 @@ class TestLifecycle:
         assert name not in owned_names()
         with pytest.raises(SimulationError):
             ShmArena.attach(name, LAYOUT)
-
-
-class TestArenaFromArrays:
-    def test_round_trip(self):
-        arena = arena_from_arrays({"x": [1, 2, 3], "y": [-1]})
-        try:
-            assert arena.layout == (("x", "i64", 3), ("y", "i64", 1))
-            assert arena.read_ints("x") == [1, 2, 3]
-            assert arena.read_ints("y") == [-1]
-        finally:
-            arena.release()
-
-    def test_failed_fill_leaks_nothing(self):
-        before = owned_names()
-        with pytest.raises(Exception):
-            arena_from_arrays({"x": [1, "not-an-int", 3]})
-        assert owned_names() == before
-
-
-class TestPopulationMirror:
-    def make_population(self):
-        population = Population(
-            n=4, ids=[3, 1, 4, 1], id_bound=8, parity_even=True
-        )
-        population.set_column("phase", [0, 1, 2, 3])
-        population.set_column("count", [10, 20, 30, 40])
-        return population
-
-    def test_share_and_load_round_trip(self):
-        source = self.make_population()
-        target = self.make_population()
-        target.set_column("phase", [9, 9, 9, 9])
-        target.set_column("count", [0, 0, 0, 0])
-        with share_population_ints(source, ["phase", "count"]) as arena:
-            load_population_ints(arena, target)
-        assert target.column("phase") == [0, 1, 2, 3]
-        assert target.column("count") == [10, 20, 30, 40]
-
-    def test_load_selected_keys_only(self):
-        source = self.make_population()
-        target = self.make_population()
-        target.set_column("count", [0, 0, 0, 0])
-        with share_population_ints(source, ["phase", "count"]) as arena:
-            load_population_ints(arena, target, keys=["phase"])
-        assert target.column("count") == [0, 0, 0, 0]
-
-    def test_column_ints_rejects_non_int_cells(self):
-        population = self.make_population()
-        population.set_column("flag", [True, False, True, False])
-        with pytest.raises(TypeError):
-            population.column_ints("flag")
-        population.set_column("mixed", [1, 2, None, 4])
-        with pytest.raises(TypeError):
-            population.column_ints("mixed")
-        with pytest.raises(TypeError):
-            share_population_ints(population, ["mixed"])
 
 
 class TestPackBlobs:

@@ -16,13 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import RingSession
 from repro.combinatorics import bounds
 from repro.core.scheduler import Scheduler
 from repro.protocols.base import KEY_LEADER, KEY_NMOVE_DIR
-from repro.protocols.full_stack import (
-    solve_coordination,
-    solve_location_discovery,
-)
 from repro.ring.configs import random_configuration
 from repro.ring.kinematics import rotation_index
 from repro.types import LocalDirection, Model, local_to_velocity
@@ -49,7 +46,9 @@ class TestCoordinationProperties:
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
         start = state.snapshot()
-        result = solve_coordination(state, model)
+        result = RingSession.from_state(state, model=model).run(
+            "coordination"
+        )
         assert result.leader_id in state.ids
         assert state.snapshot() == start
 
@@ -59,7 +58,7 @@ class TestCoordinationProperties:
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
         sched = Scheduler(state, model)
-        solve_coordination(state, model, scheduler=sched)
+        RingSession.from_scheduler(sched).run("coordination")
         velocities = [
             local_to_velocity(
                 view.memory[KEY_NMOVE_DIR], state.chiralities[i]
@@ -76,7 +75,7 @@ class TestCoordinationProperties:
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
         sched = Scheduler(state, Model.LAZY)
-        result = solve_coordination(state, Model.LAZY, scheduler=sched)
+        result = RingSession.from_scheduler(sched).run("coordination")
         flags = [bool(v.memory.get(KEY_LEADER)) for v in sched.views]
         assert flags.count(True) == 1
         winner = sched.views[flags.index(True)].agent_id
@@ -89,7 +88,9 @@ class TestLocationDiscoveryProperties:
     def test_lazy_reconstruction_exact(self, params):
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
-        result = solve_location_discovery(state, Model.LAZY)
+        result = RingSession.from_state(state, model=Model.LAZY).run(
+            "location-discovery"
+        )
         self._check(state, result)
 
     @SLOW
@@ -97,7 +98,9 @@ class TestLocationDiscoveryProperties:
     def test_perceptive_reconstruction_exact(self, params):
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
-        result = solve_location_discovery(state, Model.PERCEPTIVE)
+        result = RingSession.from_state(state, model=Model.PERCEPTIVE).run(
+            "location-discovery"
+        )
         self._check(state, result)
         floor = bounds.ld_lower_bound(
             n, perceptive=n % 2 == 0
@@ -130,5 +133,7 @@ class TestRoundAccounting:
     def test_phase_rounds_sum_to_total(self, params):
         n, seed, common = params
         state = random_configuration(n, seed=seed, common_sense=common)
-        result = solve_location_discovery(state, Model.LAZY)
+        result = RingSession.from_state(state, model=Model.LAZY).run(
+            "location-discovery"
+        )
         assert sum(result.rounds_by_phase.values()) == result.rounds

@@ -115,6 +115,17 @@ class TestConfigGenerators:
         span = cw_arc(state.positions[0], state.positions[-1])
         assert span <= F(1, 16)
 
+    @pytest.mark.parametrize("generator", [
+        random_configuration,
+        jittered_equidistant_configuration,
+        clustered_configuration,
+    ])
+    def test_negative_n_is_a_configuration_error(self, generator):
+        with pytest.raises(ConfigurationError):
+            generator(-5, seed=0)
+        with pytest.raises(ConfigurationError):
+            generator(-5, id_bound=64, seed=0)
+
 
 class TestSimulatorFrames:
     def test_idle_rejected_in_basic(self):

@@ -69,8 +69,8 @@ class TestPinnedSerialisation:
 
 
 class TestBackendIndependence:
-    """Backend, driver, shards, executor and workers are equivalent
-    ways of computing the same result, so they must not key."""
+    """Backend, driver, executor and workers are equivalent ways of
+    computing the same result, so they must not key."""
 
     def test_backend_excluded(self):
         for backend in ("lattice", "fraction", "array"):

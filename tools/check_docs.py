@@ -181,16 +181,6 @@ def bench_markdown() -> str:
         f"(on {fleet['cpu_count']} CPU"
         f"{'s' if fleet['cpu_count'] != 1 else ''})",
     ))
-    shard = _report("BENCH_shard.json")
-    shard_head = max(shard["results"], key=lambda row: row["n"])
-    rows.append((
-        "`BENCH_shard.json`",
-        f"one ring at n={shard_head['n']}, "
-        f"{shard['workload']['shards']} shards over shared memory",
-        f"sharded over serial: **{shard_head['speedup']}x** "
-        f"(on {shard['cpu_count']} CPU"
-        f"{'s' if shard['cpu_count'] != 1 else ''})",
-    ))
     cache = _report("BENCH_cache.json")
     rows.append((
         "`BENCH_cache.json`",
