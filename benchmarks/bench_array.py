@@ -21,11 +21,6 @@ Runs in the ``--bench-fast`` smoke suite (not ``bench_heavy``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
-
-from repro.experiments.harness import array_shootout
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_array.json"
 
 #: Floor for the headline (n = 16384) array-over-lattice speedup.  Both
 #: backends run the same rounds in the same process, so the ratio is
@@ -44,17 +39,16 @@ MIN_SPEEDUP_AT_1024 = 1.2
 MIN_SPEEDUP_FALLBACK = 0.8
 
 
-def test_array_shootout_n_sweep(once):
+def test_array_shootout_n_sweep(shootout_report):
     """1024/4096/16384-agent sweep: determinism is a hard gate; the
     speedup gates apply at the smallest and largest sizes when numpy is
     available (the committed report is generated with numpy)."""
-    report = once(lambda: array_shootout(sizes=(1024, 4096, 16384)))
+    report = shootout_report("array")
     for row in report["sweep"]:
         print(
             f"\narray shootout n={row['n']}: {json.dumps(row['seconds'])} "
             f"speedup={row['speedup_array_over_lattice']}x"
         )
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     # The Fraction cross-check really ran, at the smallest size.
     assert report["workload"]["fraction_checked_at"] == 1024

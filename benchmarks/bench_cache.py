@@ -9,11 +9,11 @@ location-discovery sweep fetched warm vs. recomputed, plus a
 and writes the machine-readable ``BENCH_cache.json`` report to the
 repo root next to ``BENCH_fleet.json``.
 
-Bit-exactness is a hard gate enforced *before* any timing (inside
-:func:`~repro.experiments.harness.cache_shootout`): fetched payloads
-must equal recomputed ones, and a fraction-backend / callback-driver
-variant sweep must be served by the very same entries -- the key's
-backend-independence in action.  The speedup gates are deliberately
+Bit-exactness is a hard gate enforced *before* any timing (inside the
+``cache`` entry of :data:`~repro.experiments.harness.SHOOTOUTS`):
+fetched payloads must equal recomputed ones, and a fraction-backend /
+callback-driver variant sweep must be served by the very same entries
+-- the key's backend-independence in action.  The speedup gates are deliberately
 conservative: a warm fetch skips the whole simulation, so anything
 under 20x would mean the store itself got expensive; intra-sweep dedup
 of a 4-duplicate sweep computes a quarter of the work, so it must win
@@ -23,21 +23,15 @@ of a 4-duplicate sweep computes a quarter of the work, so it must win
 from __future__ import annotations
 
 import json
-from pathlib import Path
-
-from repro.experiments.harness import cache_shootout
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
 
 
-def test_cache_shootout_warm_and_dedup(once):
+def test_cache_shootout_warm_and_dedup(shootout_report):
     """Warm fetches >= 20x over recompute; 4-dupe sweep dedup >= 1.5x;
     bit-identity enforced before any timed region."""
-    report = once(lambda: cache_shootout(sessions=8, n=16, dupes=4))
+    report = shootout_report("cache")
     print("\ncache shootout:", json.dumps(report["seconds"]),
           f"warm={report['warm_speedup']}x "
           f"dedup={report['dedup_speedup']}x")
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     assert report["entries"] == 8
     # A warm hit replaces an entire protocol run with a store read.

@@ -22,13 +22,6 @@ Runs in the ``--bench-fast`` smoke suite (not ``bench_heavy``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
-
-from repro.experiments.harness import equations_shootout
-
-BENCH_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_equations.json"
-)
 
 #: Floor for the headline int-over-Fraction speedup on Algorithm 6 at
 #: the largest benched n.  Elimination cost grows ~n^3 while the
@@ -50,12 +43,12 @@ MIN_SWEEPS_SPEEDUP_FLOOR = 1.0
 MIN_SPEEDUP_FALLBACK = 0.8
 
 
-def test_equations_shootout(once):
+def test_equations_shootout(shootout_report):
     """Distances at 24/48/96 + sweeps at 256/1024: bit-exact agreement
     between the int and Fraction engines is a hard gate at every size;
     the speedup gates apply when numpy is available (the committed
     report is generated with numpy)."""
-    report = once(lambda: equations_shootout())
+    report = shootout_report("equations")
     for kind in ("distances", "sweeps"):
         for row in report[kind]:
             print(
@@ -63,7 +56,6 @@ def test_equations_shootout(once):
                 f"{json.dumps(row['seconds'])} "
                 f"speedup={row['speedup_int_over_fraction']}x"
             )
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     # The cross-engine fingerprint checks really ran at every size.
     checked = report["workload"]["bit_exact_checked_at"]

@@ -24,23 +24,17 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
-
-from repro.experiments.harness import fleet_shootout
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
-def test_fleet_shootout_16_rings(once):
+def test_fleet_shootout_16_rings(shootout_report):
     """16 rings, warm pools at 1/2/4 workers: determinism is a hard
     gate everywhere; the parallel-speedup gate applies where the
     hardware can express it."""
-    report = once(lambda: fleet_shootout(sessions=16, n=24, workers=4))
+    report = shootout_report("fleet")
     print("\nfleet shootout:", json.dumps(report["seconds"]),
           f"speedup={report['parallel_speedup']}x "
           f"(cpus={report['cpu_count']})")
     print("scaling:", json.dumps(report["scaling"]))
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["deterministic_across_executors"] is True
     assert report["warm_pool"] is True
     assert [row["workers"] for row in report["scaling"]] == [1, 2, 4]

@@ -18,11 +18,6 @@ Runs in the ``--bench-fast`` smoke suite (not ``bench_heavy``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
-
-from repro.experiments.harness import policy_shootout
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_policies.json"
 
 #: Floor for the headline (n = 1024) native-over-callback speedup.  The
 #: two drivers run the same rounds on the same backend, so the ratio is
@@ -31,16 +26,15 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_policies.json"
 MIN_SPEEDUP_AT_1024 = 1.1
 
 
-def test_policy_shootout_n_sweep(once):
+def test_policy_shootout_n_sweep(shootout_report):
     """64/256/1024-agent sweep: determinism is a hard gate; the headline
     speedup gate applies at the largest size."""
-    report = once(lambda: policy_shootout(sizes=(64, 256, 1024)))
+    report = shootout_report("policies")
     for row in report["sweep"]:
         print(
             f"\npolicy shootout n={row['n']}: {json.dumps(row['seconds'])} "
             f"speedup={row['speedup_native_over_callback']}x"
         )
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     by_n = {row["n"]: row for row in report["sweep"]}
     assert set(by_n) == {64, 256, 1024}

@@ -16,9 +16,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
-from repro.experiments.harness import backend_shootout
 from repro.ring.collisions import (
     simulate_collisions,
     simulate_collisions_ticks,
@@ -28,8 +26,6 @@ from repro.ring.kinematics import (
     closed_form_round,
     first_collisions_basic,
 )
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
 
 def _random_round(n: int, seed: int):
@@ -110,15 +106,14 @@ def test_event_sim_ticks_throughput(benchmark):
     ] == [t.coll_distance for t in ref_traces]
 
 
-def test_backend_shootout_perceptive_64(once):
+def test_backend_shootout_perceptive_64(shootout_report):
     """The PR-gating perf target: the integer-lattice backend must beat
     the Fraction backend >= 5x on a 64-agent perceptive workload, with
     bit-exact agreement (checked inside the shootout).  Writes the
     machine-readable report to BENCH_simulator.json."""
-    report = once(lambda: backend_shootout(n=64, rounds=256, seed=11))
+    report = shootout_report("simulator")
     print("\nbackend shootout:", json.dumps(report["seconds"]),
           f"speedup={report['speedup_lattice_over_fraction']}x")
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     assert report["speedup_lattice_over_fraction"] >= 5.0
 

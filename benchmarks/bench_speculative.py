@@ -22,13 +22,6 @@ Runs in the ``--bench-fast`` smoke suite (not ``bench_heavy``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
-
-from repro.experiments.harness import speculative_shootout
-
-BENCH_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_speculative.json"
-)
 
 #: Floor for the headline (largest n) array-over-lattice speedup.  The
 #: workload deliberately includes Algorithm 6 at a fixed small n, whose
@@ -47,19 +40,18 @@ MIN_SPEEDUP_FLOOR = 1.0
 MIN_SPEEDUP_FALLBACK = 0.8
 
 
-def test_speculative_shootout_n_sweep(once):
+def test_speculative_shootout_n_sweep(shootout_report):
     """256/1024 sweep: determinism (vs callback drivers and vs the
     Fraction backend) is a hard gate; the speedup gates apply when
     numpy is available (the committed report is generated with
     numpy)."""
-    report = once(lambda: speculative_shootout(sizes=(256, 1024)))
+    report = shootout_report("speculative")
     for row in report["sweep"]:
         print(
             f"\nspeculative shootout n={row['n']}: "
             f"{json.dumps(row['seconds'])} "
             f"speedup={row['speedup_array_over_lattice']}x"
         )
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     assert report["bit_exact"] is True
     # The cross-driver and cross-backend checks really ran.
     assert report["workload"]["callback_checked_at"] == 256

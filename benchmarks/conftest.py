@@ -8,14 +8,21 @@ asserts the paper's qualitative shape (who wins, how cells scale).
 
 Smoke mode: ``python -m pytest benchmarks -q --bench-fast`` skips every
 module marked ``bench_heavy`` (the multi-minute table/figure sweeps)
-and runs only the fast substrate benchmarks -- including the backend
-shootout that writes ``BENCH_simulator.json`` -- so CI can track the
-performance trajectory cheaply.
+and runs only the fast substrate benchmarks -- including the seven
+shootouts that write the ``BENCH_*.json`` reports (the
+``shootout_report`` fixture) -- so CI can track the performance
+trajectory cheaply.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+from repro.experiments.harness import shootout, write_report
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -59,5 +66,18 @@ def run_once(benchmark, fn, *args, **kwargs):
 def once(benchmark):
     def runner(fn, *args, **kwargs):
         return run_once(benchmark, fn, *args, **kwargs)
+
+    return runner
+
+
+@pytest.fixture
+def shootout_report(once):
+    """Run ``shootout(name)`` once under timing, write the report to
+    ``BENCH_<name>.json`` at the repo root with the same writer as
+    ``python -m repro bench NAME --out``, and return it."""
+    def runner(name):
+        report = once(shootout, name)
+        write_report(report, REPO_ROOT / f"BENCH_{name}.json")
+        return report
 
     return runner

@@ -27,26 +27,15 @@ Usage::
     python -m repro lower-bounds [--backend ...] [--json]
     python -m repro demo [--n 8] [--model perceptive] [--seed 2024]
                          [--backend lattice|fraction]
-    python -m repro bench [--n 64] [--rounds 256] [--out BENCH.json]
-    python -m repro bench-policies [--sizes 64,256,1024]
-                                   [--out BENCH.json]
-    python -m repro bench-array [--sizes 1024,4096,16384]
-                                [--out BENCH.json]
-    python -m repro bench-speculative [--sizes 256,1024]
-                                      [--distances-n 48] [--out BENCH.json]
-    python -m repro bench-equations [--distances-sizes 24,48,96]
-                                    [--sweep-sizes 256,1024]
-                                    [--out BENCH.json]
-    python -m repro bench-fleet [--sessions 16] [--n 24] [--workers 4]
-                                [--repeats 3] [--out BENCH.json]
-    python -m repro bench-cache [--sessions 8] [--n 16] [--dupes 4]
-                                [--out BENCH.json]
+    python -m repro bench simulator|policies|array|speculative|equations|
+                          fleet|cache [--sizes LIST] [--out PATH]
 
 ``run`` with no protocol lists the registry.  All structured output
 (``--json``, ``sweep``) uses exact ``"p/q"`` strings for rationals.
 ``--cache`` (or ``REPRO_CACHE=1``) serves repeated runs from the
 content-addressed run store; fetched results are bit-identical to
-computed ones.
+computed ones.  ``bench NAME`` prints the ``BENCH_NAME.json`` report
+(``--out`` also writes it; the note goes to stderr).
 """
 
 from __future__ import annotations
@@ -328,6 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_demo(args: argparse.Namespace) -> None:
     from repro import ConfigurationError, Model, RingSession
+    from repro.exceptions import InfeasibleProblemError, ProtocolError
 
     model = Model(args.model)
     try:
@@ -339,84 +329,34 @@ def _cmd_demo(args: argparse.Namespace) -> None:
         args.parser.error(str(exc))
     print(f"n={args.n}, model={model.value}, N={session.state.id_bound}, "
           f"backend={args.backend}")
-    result = session.run("location-discovery")
+    try:
+        result = session.run("location-discovery")
+    except (InfeasibleProblemError, ProtocolError) as exc:
+        args.parser.error(str(exc))
     print(f"location discovery solved in {result.rounds} rounds:")
     for phase, rounds in result.rounds_by_phase.items():
         print(f"  {phase:22s} {rounds:6d}")
     print("agent 0's reconstructed gaps:", result.gaps_by_agent[0])
 
 
-def _emit_report(args: argparse.Namespace, report: object) -> None:
-    """Print a bench report as JSON and, with --out, also write it."""
-    print(json.dumps(report, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-
-
 def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import backend_shootout
+    from repro.exceptions import (
+        ConfigurationError,
+        InfeasibleProblemError,
+        ProtocolError,
+    )
+    from repro.experiments.harness import report_json, shootout, write_report
 
-    _emit_report(args, backend_shootout(
-        n=args.n, rounds=args.rounds, seed=args.seed, repeats=args.repeats
-    ))
-
-
-def _cmd_bench_policies(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import policy_shootout
-
-    _emit_report(args, policy_shootout(
-        sizes=tuple(_sizes(args.sizes)), seed=args.seed,
-        repeats=args.repeats,
-    ))
-
-
-def _cmd_bench_array(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import array_shootout
-
-    _emit_report(args, array_shootout(
-        sizes=tuple(_sizes(args.sizes)), seed=args.seed,
-        repeats=args.repeats,
-    ))
-
-
-def _cmd_bench_speculative(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import speculative_shootout
-
-    _emit_report(args, speculative_shootout(
-        sizes=tuple(_sizes(args.sizes)), distances_n=args.distances_n,
-        seed=args.seed, repeats=args.repeats,
-    ))
-
-
-def _cmd_bench_equations(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import equations_shootout
-
-    _emit_report(args, equations_shootout(
-        distances_sizes=tuple(_sizes(args.distances_sizes)),
-        sweep_sizes=tuple(_sizes(args.sweep_sizes)),
-        seed=args.seed, repeats=args.repeats,
-    ))
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import fleet_shootout
-
-    _emit_report(args, fleet_shootout(
-        sessions=args.sessions, n=args.n, workers=args.workers,
-        seed=args.seed, repeats=args.repeats,
-    ))
-
-
-def _cmd_bench_cache(args: argparse.Namespace) -> None:
-    from repro.experiments.harness import cache_shootout
-
-    _emit_report(args, cache_shootout(
-        sessions=args.sessions, n=args.n, dupes=args.dupes,
-        seed=args.seed, repeats=args.repeats,
-    ))
+    try:
+        report = shootout(args.name, args.sizes)
+    except (ConfigurationError, InfeasibleProblemError, ProtocolError) as exc:
+        # A size the workload cannot run (n <= 4, odd n for Algorithm
+        # 6, several sizes for a one-size report) is a usage error.
+        args.parser.error(str(exc))
+    sys.stdout.write(report_json(report))
+    if args.out:
+        write_report(report, args.out)
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -627,100 +567,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(demo)
     demo.set_defaults(fn=_cmd_demo)
 
+    from repro.experiments.harness import SHOOTOUTS
+
     bench = sub.add_parser(
-        "bench", help="time the kinematics backends against each other"
+        "bench",
+        help="time a fast path against its executable spec, bit-exactness "
+        "checked first; prints the BENCH_NAME.json report",
     )
-    bench.add_argument("--n", type=int, default=64)
-    bench.add_argument("--rounds", type=int, default=256)
-    bench.add_argument("--seed", type=int, default=11)
-    bench.add_argument("--repeats", type=int, default=3)
+    bench.add_argument("name", choices=list(SHOOTOUTS))
     bench.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
+        "--sizes", type=_sizes, default=None, metavar="LIST",
+        help="comma-separated ring sizes (default: the report's own)",
+    )
+    bench.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="also write the JSON report to this path",
     )
     bench.set_defaults(fn=_cmd_bench)
-
-    bp = sub.add_parser(
-        "bench-policies",
-        help="time the native phase drivers against the per-agent "
-        "callback drivers",
-    )
-    bp.add_argument("--sizes", default="64,256,1024")
-    bp.add_argument("--seed", type=int, default=11)
-    bp.add_argument("--repeats", type=int, default=3)
-    bp.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bp.set_defaults(fn=_cmd_bench_policies)
-
-    ba = sub.add_parser(
-        "bench-array",
-        help="time the array backend's fused stretches against the "
-        "lattice backend on large rings",
-    )
-    ba.add_argument("--sizes", default="1024,4096,16384")
-    ba.add_argument("--seed", type=int, default=11)
-    ba.add_argument("--repeats", type=int, default=2)
-    ba.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    ba.set_defaults(fn=_cmd_bench_array)
-
-    bs = sub.add_parser(
-        "bench-speculative",
-        help="time speculative fused stretches (data-dependent sweeps "
-        "+ Algorithm 6) on the array vs the lattice backend",
-    )
-    bs.add_argument("--sizes", default="256,1024")
-    bs.add_argument("--distances-n", type=int, default=48)
-    bs.add_argument("--seed", type=int, default=11)
-    bs.add_argument("--repeats", type=int, default=2)
-    bs.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bs.set_defaults(fn=_cmd_bench_speculative)
-
-    be = sub.add_parser(
-        "bench-equations",
-        help="time the fraction-free equation engine and columnar gap "
-        "harvests against the exact-Fraction spec paths",
-    )
-    be.add_argument("--distances-sizes", default="24,48,96")
-    be.add_argument("--sweep-sizes", default="256,1024")
-    be.add_argument("--seed", type=int, default=11)
-    be.add_argument("--repeats", type=int, default=2)
-    be.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    be.set_defaults(fn=_cmd_bench_equations)
-
-    bf = sub.add_parser(
-        "bench-fleet",
-        help="time a fleet sweep serially vs. across a process pool",
-    )
-    bf.add_argument("--sessions", type=int, default=16)
-    bf.add_argument("--n", type=int, default=24)
-    bf.add_argument("--workers", type=int, default=4)
-    bf.add_argument("--seed", type=int, default=0)
-    bf.add_argument("--repeats", type=int, default=3)
-    bf.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bf.set_defaults(fn=_cmd_bench_fleet)
-
-    bc = sub.add_parser(
-        "bench-cache",
-        help="time run-store warm fetches and sweep dedup against "
-        "recomputation (bit-exactness asserted before timing)",
-    )
-    bc.add_argument("--sessions", type=int, default=8)
-    bc.add_argument("--n", type=int, default=16)
-    bc.add_argument("--dupes", type=int, default=4)
-    bc.add_argument("--seed", type=int, default=0)
-    bc.add_argument("--repeats", type=int, default=3)
-    bc.add_argument(
-        "--out", default=None, help="also write the JSON report to this path"
-    )
-    bc.set_defaults(fn=_cmd_bench_cache)
 
     cache = sub.add_parser(
         "cache",

@@ -1,14 +1,20 @@
-"""Shared experiment utilities: rows, rendering, size sweeps, and the
-kinematics-backend shootout used by ``python -m repro bench`` and the
-benchmark suite."""
+"""Shared experiment utilities: rows and rendering for the table and
+figure drivers, and the shootouts behind ``python -m repro bench NAME``
+and the benchmark suite (:data:`SHOOTOUTS`, :func:`shootout`)."""
 
 from __future__ import annotations
 
+import json
+import os
 import platform
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.exceptions import ConfigurationError, SimulationError
 
 
 @dataclass
@@ -108,374 +114,333 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def geometric_sizes(start: int, stop: int, factor: int = 2) -> List[int]:
-    """Sizes start, start*factor, ... up to stop (inclusive if hit)."""
-    sizes = []
-    size = start
-    while size <= stop:
-        sizes.append(size)
-        size *= factor
-    return sizes
+# -- shootouts ----------------------------------------------------------
+#
+# Every speedup the repo reports is a shootout: a fast path timed against
+# its executable spec on the identical workload -- but only after the two
+# are proven bit-exact on it, so a benchmark can never report a speedup
+# for code that changed behaviour.
+
+#: A JSON-ready shootout report (one ``BENCH_*.json`` payload).
+Report = Dict[str, object]
 
 
-def _shootout_directions(n: int, rounds: int, seed: int) -> List[list]:
-    """Deterministic per-round direction vectors for the shootout.
+def _environment() -> Dict[str, object]:
+    """The host block every report ends with."""
+    return {
+        "numpy": _numpy_version(),
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
-    Roughly half the rounds repeat the previous vector (protocols run
-    long homogeneous probe/restore stretches, which exercises the
-    lattice backend's memoised pattern tables) and half draw fresh
-    per-agent directions (exercising the derivation path).
+
+def _report(
+    benchmark: str, workload: Dict[str, object], **body: object
+) -> Report:
+    """A bit-exact report: name, workload block, ``body``, host block."""
+    return {
+        "benchmark": benchmark,
+        "workload": workload,
+        "bit_exact": True,
+        **body,
+        **_environment(),
+    }
+
+
+def report_json(report: Report) -> str:
+    """A report's bytes: indented JSON plus a trailing newline."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+def write_report(report: Report, path: Union[str, "os.PathLike[str]"]) -> None:
+    """Write ``report`` to ``path`` as :func:`report_json` bytes -- the
+    writer behind ``bench --out`` and the benchmark suite."""
+    Path(path).write_text(report_json(report))
+
+
+@dataclass(frozen=True)
+class Contender:
+    """One labelled setting of a shootout workload: the kinematics
+    backend, the phase driver and the equation engine it runs under."""
+
+    label: str
+    backend: str = "lattice"
+    driver: str = "native"
+    engine: Optional[str] = None
+
+
+#: ``workload(contender, n, collect) -> (seconds, rounds, fingerprint)``.
+#: ``seconds`` covers the measured phases only; the fingerprint is
+#: assembled on collecting runs only (``None`` otherwise), so
+#: fingerprinting never lands in a timing.
+Workload = Callable[[Contender, int, bool], Tuple[float, int, object]]
+
+#: Ring seed of every pairwise workload: all contenders at a size start
+#: from the identical configuration.
+_SEED = 11
+
+
+@dataclass(frozen=True)
+class Pairwise:
+    """A pairwise shootout: one workload under labelled contenders.
+
+    ``contenders`` is ``(baseline, candidate, *references)``.  The
+    references are executable specs -- the Fraction backend, the
+    callback drivers -- checked at the smallest size only, where their
+    cost stays affordable; tier-1's property tests hold every backend
+    and both drivers bit-exact at the sizes they sweep.
     """
-    from repro.types import LocalDirection
 
-    rng = random.Random(seed)
-    choices = (LocalDirection.RIGHT, LocalDirection.LEFT)
-    sequence: List[list] = []
-    prev: Optional[list] = None
-    for _ in range(rounds):
-        if prev is None or rng.random() >= 0.5:
-            prev = [rng.choice(choices) for _ in range(n)]
-        sequence.append(prev)
-    return sequence
+    workload: Workload
+    contenders: Tuple[Contender, ...]
+    sizes: Tuple[int, ...]
+    repeats: int
+
+    def rows(self, sizes: Sequence[int]) -> List[Dict[str, object]]:
+        """The bit-exact-then-time core.
+
+        First one collecting run per contender and size: the
+        candidate's fingerprint must equal the baseline's at every
+        size, and each reference's at the smallest size; a mismatch
+        raises :class:`SimulationError` naming both labels and ``n``
+        before any timed run.  Then baseline and candidate are timed
+        at every size, best of ``repeats`` non-collecting runs each.
+        Returns one row ``{n, rounds, seconds,
+        speedup_<candidate>_over_<baseline>}`` per size.
+        """
+        baseline, candidate = self.contenders[:2]
+        smallest = min(sizes)
+        rounds: Dict[int, int] = {}
+        for n in sizes:
+            _, rounds[n], expected = self.workload(baseline, n, True)
+            others = self.contenders[1:] if n == smallest else (candidate,)
+            for other in others:
+                _, _, fingerprint = self.workload(other, n, True)
+                # An explicit raise, not an assert: the emitted bit_exact
+                # must stay trustworthy under ``python -O`` too.
+                if fingerprint != expected:
+                    raise SimulationError(
+                        f"{other.label} and {baseline.label} disagree "
+                        f"at n={n}"
+                    )
+        rows: List[Dict[str, object]] = []
+        for n in sizes:
+            seconds = {
+                c.label: min(
+                    self.workload(c, n, False)[0] for _ in range(self.repeats)
+                )
+                for c in (baseline, candidate)
+            }
+            rows.append({
+                "n": n,
+                "rounds": rounds[n],
+                "seconds": {k: round(v, 6) for k, v in seconds.items()},
+                f"speedup_{candidate.label}_over_{baseline.label}": round(
+                    seconds[baseline.label] / seconds[candidate.label], 2
+                ),
+            })
+        return rows
+
+    def sweep_report(
+        self, benchmark: str, sizes: Optional[Sequence[int]],
+        **about: object,
+    ) -> Report:
+        """The report of one core row per size under ``sweep``; the
+        workload block records which reference checks ran where."""
+        sizes = self.sizes if sizes is None else sizes
+        rows = self.rows(sizes)
+        workload = {**about, "seed": _SEED, "repeats": self.repeats}
+        for reference in self.contenders[2:]:
+            workload[f"{reference.label}_checked_at"] = min(sizes)
+        return _report(benchmark, workload, sweep=rows)
 
 
-def _shootout_run(backend: str, n: int, seed: int, sequence, collect: bool):
-    """Run the shootout round sequence on a fresh state; optionally
-    collect outcomes and the final positions for the agreement check."""
+def _one_size(
+    name: str, sizes: Optional[Sequence[int]], default: Tuple[int, ...]
+) -> int:
+    """The ring size of a shootout that measures exactly one."""
+    sizes = default if sizes is None else tuple(sizes)
+    if len(sizes) != 1:
+        raise ConfigurationError(
+            f"shootout {name!r} measures one ring size; got {len(sizes)}"
+        )
+    return sizes[0]
+
+
+_FRACTION = Contender("fraction", backend="fraction")
+_LATTICE = Contender("lattice")
+_ARRAY = Contender("array", backend="array")
+_CALLBACK = Contender("callback", driver="callback")
+
+#: Length of the simulator shootout's direction sequence.
+_SIMULATOR_ROUNDS = 256
+
+
+def _simulator_workload(
+    contender: Contender, n: int, collect: bool
+) -> Tuple[float, int, object]:
+    """A deterministic perceptive-model round sequence executed straight
+    on the kinematics backend.  Roughly half the rounds repeat the
+    previous direction vector (protocols run long homogeneous
+    probe/restore stretches, which exercises the lattice backend's
+    memoised pattern tables) and half draw fresh per-agent directions
+    (exercising the derivation path).  The fingerprint is every round's
+    outcome -- observations, rotation index, collision-event count --
+    and the final positions."""
     from repro.core.scheduler import Scheduler
     from repro.ring.configs import random_configuration
-    from repro.types import Model
+    from repro.types import LocalDirection, Model
 
-    state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend=backend)
+    rng = random.Random(_SEED)
+    choices = (LocalDirection.RIGHT, LocalDirection.LEFT)
+    sequence: List[list] = []
+    for _ in range(_SIMULATOR_ROUNDS):
+        if not sequence or rng.random() >= 0.5:
+            sequence.append([rng.choice(choices) for _ in range(n)])
+        else:
+            sequence.append(sequence[-1])
+    state = random_configuration(n, seed=_SEED, common_sense=False)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend)
     sim = sched.simulator
-    outcomes = [] if collect else None
+    outcomes = []
     start = time.perf_counter()
     for directions in sequence:
         outcome = sim.execute(directions)
         if collect:
             outcomes.append(outcome)
     elapsed = time.perf_counter() - start
-    return elapsed, outcomes, list(state.positions)
+    fingerprint = (outcomes, list(state.positions)) if collect else None
+    return elapsed, len(sequence), fingerprint
 
 
-def backend_shootout(
-    n: int = 64, rounds: int = 256, seed: int = 11, repeats: int = 3
-) -> Dict[str, object]:
-    """Time the lattice backend against the Fraction backend.
+def _simulator(sizes: Optional[Sequence[int]] = None) -> Report:
+    """Lattice vs Fraction kinematics on the direction sequence of
+    :func:`_simulator_workload` at one ring size (default 64 agents).
 
-    Both backends execute the identical perceptive-model round sequence
-    on identical initial configurations.  Before timing, one collecting
-    run per backend verifies bit-exact agreement of every observation,
-    rotation index, collision-event count and the final positions; a
-    mismatch raises ``AssertionError``.  Timings are the best of
-    ``repeats`` runs.
-
-    Returns a JSON-ready report (the ``BENCH_simulator.json`` payload).
+    Returns the ``BENCH_simulator.json`` payload.
     """
-    from repro.exceptions import SimulationError
-
-    sequence = _shootout_directions(n, rounds, seed)
-
-    _, frac_outcomes, frac_pos = _shootout_run(
-        "fraction", n, seed, sequence, collect=True
-    )
-    _, latt_outcomes, latt_pos = _shootout_run(
-        "lattice", n, seed, sequence, collect=True
-    )
-    # Explicit raises, not asserts: the emitted bit_exact field must
-    # stay trustworthy under `python -O` too.
-    if frac_pos != latt_pos:
-        raise SimulationError("backends disagree on final positions")
-    for k, (a, b) in enumerate(zip(frac_outcomes, latt_outcomes)):
-        if (
-            a.rotation_index != b.rotation_index
-            or a.collision_events != b.collision_events
-            or a.observations != b.observations
-        ):
-            raise SimulationError(f"backends disagree on round {k}")
-
-    timings: Dict[str, float] = {}
-    for backend in ("fraction", "lattice"):
-        best = min(
-            _shootout_run(backend, n, seed, sequence, collect=False)[0]
-            for _ in range(max(1, repeats))
-        )
-        timings[backend] = best
-
-    speedup = timings["fraction"] / timings["lattice"]
-    return {
-        "benchmark": "backend_shootout",
-        "workload": {
+    entry = Pairwise(_simulator_workload, (_FRACTION, _LATTICE),
+                     sizes=(64,), repeats=3)
+    n = _one_size("simulator", sizes, entry.sizes)
+    (row,) = entry.rows((n,))
+    seconds = row["seconds"]
+    return _report(
+        "backend_shootout",
+        {
             "n": n,
-            "rounds": rounds,
+            "rounds": _SIMULATOR_ROUNDS,
             "model": "perceptive",
-            "seed": seed,
-            "repeats": repeats,
+            "seed": _SEED,
+            "repeats": entry.repeats,
         },
-        "bit_exact": True,
-        "seconds": {k: round(v, 6) for k, v in timings.items()},
-        "rounds_per_second": {
-            k: round(rounds / v, 1) for k, v in timings.items()
+        seconds=seconds,
+        rounds_per_second={
+            k: round(_SIMULATOR_ROUNDS / v, 1) for k, v in seconds.items()
         },
-        "speedup_lattice_over_fraction": round(speedup, 2),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
+        speedup_lattice_over_fraction=row["speedup_lattice_over_fraction"],
+    )
 
 
-def _policy_workload(n: int, seed: int, driver: str):
-    """One phase-driver workload run: neighbor discovery plus a sparse
-    relay flood -- the paper's hot communication drivers -- at size
-    ``n`` on the lattice backend.  Returns a comparable fingerprint."""
+def _flood_workload(
+    contender: Contender, n: int, collect: bool,
+    probes: int = 0, distance: int = 4, logged: Optional[int] = None,
+) -> Tuple[float, int, object]:
+    """The paper's hot probe/communication phases, perceptive model:
+    ``probes`` deterministic rotation probes, then neighbor discovery,
+    then a relay flood of ``distance`` hops from every agent whose ID
+    is 1 mod 16 -- the probe/restore pairs and bit-exchange frames that
+    the array backend fuses into whole-column stretches.  The
+    fingerprint is the round count, final positions, all protocol
+    memory and the observation logs of the first ``logged`` agents
+    (default all)."""
     from repro.core.agent import id_bits
     from repro.core.scheduler import Scheduler
     from repro.ring.configs import random_configuration
     from repro.types import Model
 
-    state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend="lattice")
-    width = id_bits(sched.population.id_bound)
-    start = time.perf_counter()
-    if driver == "native":
+    if contender.driver == "native":
         from repro.protocols.policies.bitcomm import relay_flood
         from repro.protocols.policies.neighbor_discovery import (
             discover_neighbors,
         )
-
-        discover_neighbors(sched)
-        relay_flood(
-            sched,
-            [
-                agent_id if agent_id % 16 == 1 else None
-                for agent_id in sched.population.ids
-            ],
-            distance=4,
-            width=width,
-        )
+        from repro.protocols.policies.rotation_probe import ri_is_zero
     else:
         from repro.protocols.bitcomm import relay_flood
         from repro.protocols.neighbor_discovery import discover_neighbors
+        from repro.protocols.rotation_probe import ri_is_zero
 
-        discover_neighbors(sched)
-        relay_flood(
-            sched,
-            lambda view: (
-                view.agent_id if view.agent_id % 16 == 1 else None
-            ),
-            distance=4,
-            width=width,
-        )
-    elapsed = time.perf_counter() - start
-    fingerprint = (
-        sched.rounds,
-        state.snapshot(),
-        [list(v.log) for v in sched.views],
-        [dict(v.memory) for v in sched.views],
-    )
-    return elapsed, fingerprint
-
-
-def policy_shootout(
-    sizes: Sequence[int] = (64, 256, 1024),
-    seed: int = 11,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time the native whole-population phase drivers against the legacy
-    per-agent callback drivers.
-
-    Both drivers execute the identical workload (neighbor discovery +
-    sparse relay flood, perceptive model, lattice backend) from
-    identical initial configurations at each size.  One collecting run
-    per driver first verifies bit-exact agreement of round counts,
-    final positions, every observation and the final protocol memory; a
-    mismatch raises ``SimulationError``.  Timings are the best of
-    ``repeats`` runs.
-
-    Returns a JSON-ready report (the ``BENCH_policies.json`` payload).
-    """
-    import os
-
-    from repro.exceptions import SimulationError
-
-    rows = []
-    for n in sizes:
-        _, native_fp = _policy_workload(n, seed, "native")
-        _, callback_fp = _policy_workload(n, seed, "callback")
-        if native_fp != callback_fp:
-            raise SimulationError(
-                f"native and callback drivers disagree at n={n}"
-            )
-        timings: Dict[str, float] = {}
-        for driver in ("native", "callback"):
-            timings[driver] = min(
-                _policy_workload(n, seed, driver)[0]
-                for _ in range(max(1, repeats))
-            )
-        rows.append({
-            "n": n,
-            "rounds": native_fp[0],
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup_native_over_callback": round(
-                timings["callback"] / timings["native"], 2
-            ),
-        })
-    return {
-        "benchmark": "policy_shootout",
-        "workload": {
-            "phases": ["neighbor_discovery", "relay_flood(d=4)"],
-            "model": "perceptive",
-            "backend": "lattice",
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "bit_exact": True,
-        "sweep": rows,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-
-def _array_workload(backend: str, n: int, seed: int, collect: bool):
-    """One large-ring workload run: deterministic rotation probes, then
-    neighbor discovery, then a sparse relay flood -- the probe/restore
-    pairs and bit-exchange frames that the array backend fuses into
-    whole-column stretches.  Returns ``(seconds, fingerprint)``; the
-    fingerprint (rounds, final positions, all protocol memory, sampled
-    agent logs) is only assembled on collecting runs."""
-    from repro.core.agent import id_bits
-    from repro.core.scheduler import Scheduler
-    from repro.protocols.policies.bitcomm import relay_flood
-    from repro.protocols.policies.neighbor_discovery import (
-        discover_neighbors,
-    )
-    from repro.protocols.policies.rotation_probe import ri_is_zero
-    from repro.ring.configs import random_configuration
-    from repro.types import Model
-
-    state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend=backend)
+    state = random_configuration(n, seed=_SEED, common_sense=False)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend)
     ids = sched.population.ids
     width = id_bits(sched.population.id_bound)
     start = time.perf_counter()
-    for bit in range(6):
+    for bit in range(probes):
         ri_is_zero(
             sched, {agent_id for agent_id in ids if (agent_id >> bit) & 1}
         )
     discover_neighbors(sched)
-    relay_flood(
-        sched,
-        [
-            agent_id if agent_id % 16 == 1 else None
-            for agent_id in ids
-        ],
-        distance=2,
-        width=width,
-    )
+    if contender.driver == "native":
+        sources = [
+            agent_id if agent_id % 16 == 1 else None for agent_id in ids
+        ]
+    else:
+        def sources(view):
+            return view.agent_id if view.agent_id % 16 == 1 else None
+    relay_flood(sched, sources, distance=distance, width=width)
     elapsed = time.perf_counter() - start
     fingerprint = None
     if collect:
-        sample = min(n, 64)
         fingerprint = (
             sched.rounds,
             state.snapshot(),
             [dict(view.memory) for view in sched.views],
-            [list(view.log) for view in sched.views[:sample]],
+            [list(view.log) for view in sched.views[:logged]],
         )
-    return elapsed, fingerprint
+    return elapsed, sched.rounds, fingerprint
 
 
-def array_shootout(
-    sizes: Sequence[int] = (1024, 4096, 16384),
-    seed: int = 11,
-    repeats: int = 2,
-    fraction_check_at: Optional[int] = None,
-) -> Dict[str, object]:
-    """Time the array backend against the lattice backend on large rings.
+def _policies(sizes: Optional[Sequence[int]] = None) -> Report:
+    """Native whole-population phase drivers vs the legacy per-agent
+    callback drivers on :func:`_flood_workload` (neighbor discovery +
+    relay flood, lattice backend; default n = 64, 256, 1024).
 
-    Both backends execute the identical rotation-probe + relay-flood
-    workload (perceptive model, native drivers) from identical initial
-    configurations at each size.  Before any timing, collecting runs
-    verify bit-exact agreement of round counts, final positions, every
-    agent's protocol memory and the sampled observation logs -- at
-    every size between array and lattice, and additionally against the
-    exact :class:`~repro.ring.backends.FractionBackend` at
-    ``fraction_check_at``, defaulting to the smallest swept size (the
-    Fraction run is the executable spec; checking it at the smallest
-    size keeps the sweep affordable, and the lattice backend is itself
-    property-tested bit-exact against it at every size in tier-1).
-    The report's ``fraction_checked_at`` records the size actually
-    checked -- ``None`` when ``fraction_check_at`` was pinned to a
-    size outside the sweep, so the report never claims a verification
-    that did not run.  Timings are the best of ``repeats`` runs for
-    n <= 4096 and a single run above (the big rings dominate wall
-    clock and their ratios are stable).
-
-    Returns a JSON-ready report (the ``BENCH_array.json`` payload).
+    Returns the ``BENCH_policies.json`` payload.
     """
-    import os
-
-    from repro.exceptions import SimulationError
-
-    sizes = tuple(sizes)
-    if fraction_check_at is None and sizes:
-        fraction_check_at = min(sizes)
-    fraction_checked = (
-        fraction_check_at if fraction_check_at in sizes else None
+    return Pairwise(
+        _flood_workload, (_CALLBACK, Contender("native")),
+        sizes=(64, 256, 1024), repeats=3,
+    ).sweep_report(
+        "policy_shootout", sizes,
+        phases=["neighbor_discovery", "relay_flood(d=4)"],
+        model="perceptive",
+        backend="lattice",
     )
-    rows = []
-    for n in sizes:
-        _, latt_fp = _array_workload("lattice", n, seed, collect=True)
-        _, arr_fp = _array_workload("array", n, seed, collect=True)
-        if latt_fp != arr_fp:
-            raise SimulationError(
-                f"array and lattice backends disagree at n={n}"
-            )
-        if n == fraction_check_at:
-            _, frac_fp = _array_workload("fraction", n, seed, collect=True)
-            if frac_fp != arr_fp:
-                raise SimulationError(
-                    f"array and Fraction backends disagree at n={n}"
-                )
-        runs = max(1, repeats) if n <= 4096 else 1
-        timings: Dict[str, float] = {}
-        for backend in ("lattice", "array"):
-            timings[backend] = min(
-                _array_workload(backend, n, seed, collect=False)[0]
-                for _ in range(runs)
-            )
-        rows.append({
-            "n": n,
-            "rounds": latt_fp[0],
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup_array_over_lattice": round(
-                timings["lattice"] / timings["array"], 2
-            ),
-        })
 
-    numpy_version = _numpy_version()
-    return {
-        "benchmark": "array_shootout",
-        "workload": {
-            "phases": [
-                "rotation_probes(6)",
-                "neighbor_discovery",
-                "relay_flood(d=2)",
-            ],
-            "model": "perceptive",
-            "driver": "native",
-            "seed": seed,
-            "repeats": repeats,
-            "fraction_checked_at": fraction_checked,
-        },
-        "bit_exact": True,
-        "sweep": rows,
-        "numpy": numpy_version,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
+
+def _array(sizes: Optional[Sequence[int]] = None) -> Report:
+    """The array backend's fused stretches vs the lattice backend on
+    large rings: :func:`_flood_workload` with 6 rotation probes and a
+    2-hop flood, native drivers (default n = 1024, 4096, 16384), checked
+    against the exact Fraction backend at the smallest size
+    (``fraction_checked_at``).
+
+    Returns the ``BENCH_array.json`` payload.
+    """
+    return Pairwise(
+        partial(_flood_workload, probes=6, distance=2, logged=64),
+        (_LATTICE, _ARRAY, _FRACTION),
+        sizes=(1024, 4096, 16384), repeats=2,
+    ).sweep_report(
+        "array_shootout", sizes,
+        phases=[
+            "rotation_probes(6)",
+            "neighbor_discovery",
+            "relay_flood(d=2)",
+        ],
+        model="perceptive",
+        driver="native",
+    )
 
 
 def _speculative_preset(sched, leader: bool = True, labels: bool = False):
@@ -515,30 +480,33 @@ def _speculative_preset(sched, leader: bool = True, labels: bool = False):
         population.fill(KEY_RING_SIZE, population.n)
 
 
-def _speculative_workload(
-    backend: str, n: int, distances_n: int, seed: int, driver: str,
-    collect: bool,
-):
-    """One data-dependent-phase workload run: the rotation-1 sweep at
-    ``n`` (lazy model), the rotation-2 sweep at the nearest odd
-    ``n // 2 + 1`` (basic model) and Algorithm 6 at ``distances_n``
-    (perceptive model, equation-solve bound -- held small so the
-    simulation layer under test stays visible in the ratio).  Returns
-    ``(seconds, fingerprint)``; the fingerprint (rounds, final
-    positions, every agent's ``ld.gaps``, sampled logs) is only
-    assembled on collecting runs.
-    """
+def _ld_workload(
+    contender: Contender, n: int, collect: bool,
+    sweeps: bool = True, distances: bool = True,
+    distances_n: Optional[int] = None,
+) -> Tuple[float, int, object]:
+    """The data-dependent location-discovery phases, each on a fresh
+    ring staged by :func:`_speculative_preset`: the rotation-1 sweep at
+    ``n`` (lazy model) and the rotation-2 sweep at the nearest odd
+    ``n // 2 + 1`` (basic model) unless not ``sweeps``, then Algorithm 6
+    (perceptive model) at ``distances_n`` -- default ``n`` -- unless
+    not ``distances``.  Seconds and rounds are summed over the phases.
+    The fingerprint holds per phase the round count, final positions,
+    every agent's gap vector as plain Fractions and the observation
+    logs of the first 64 agents."""
     from repro.core.scheduler import Scheduler
     from repro.protocols.base import KEY_LD_GAPS
     from repro.ring.configs import random_configuration
     from repro.types import Model
 
-    if driver == "native":
+    if contender.driver == "native":
         from repro.protocols.policies.distances import discover_distances
         from repro.protocols.policies.location_discovery import (
             sweep_rotation_one,
             sweep_rotation_two,
         )
+
+        options = {"engine": contender.engine}
     else:
         from repro.protocols.distances import discover_distances
         from repro.protocols.location_discovery import (
@@ -546,198 +514,29 @@ def _speculative_workload(
             sweep_rotation_two,
         )
 
+        options = {}
     n_odd = n // 2 + 1
     if n_odd % 2 == 0:
         n_odd += 1
-    phases = (
-        (sweep_rotation_one, n, Model.LAZY, False),
-        (sweep_rotation_two, n_odd, Model.BASIC, False),
-        (discover_distances, distances_n, Model.PERCEPTIVE, True),
-    )
+    phases = []
+    if sweeps:
+        phases += [
+            (sweep_rotation_one, n, Model.LAZY, False),
+            (sweep_rotation_two, n_odd, Model.BASIC, False),
+        ]
+    if distances:
+        phases.append(
+            (discover_distances, distances_n or n, Model.PERCEPTIVE, True)
+        )
     elapsed = 0.0
+    rounds = 0
     fingerprint = [] if collect else None
     for run_phase, size, model, labels in phases:
-        state = random_configuration(size, seed=seed, common_sense=False)
-        sched = Scheduler(state, model, backend=backend)
+        state = random_configuration(size, seed=_SEED, common_sense=False)
+        sched = Scheduler(state, model, backend=contender.backend)
         _speculative_preset(sched, leader=not labels, labels=labels)
         start = time.perf_counter()
-        run_phase(sched)
-        elapsed += time.perf_counter() - start
-        if collect:
-            sample = min(size, 64)
-            fingerprint.append((
-                sched.rounds,
-                state.snapshot(),
-                sched.population.get_column(KEY_LD_GAPS),
-                [list(view.log) for view in sched.views[:sample]],
-            ))
-    return elapsed, fingerprint
-
-
-def speculative_shootout(
-    sizes: Sequence[int] = (256, 1024),
-    distances_n: int = 48,
-    seed: int = 11,
-    repeats: int = 2,
-) -> Dict[str, object]:
-    """Time the array backend against the lattice backend on the
-    *data-dependent* phases (speculative fused stretches).
-
-    Both backends execute the identical sweep + Distances workload with
-    the native drivers from identical initial configurations at each
-    size.  Before any timing, collecting runs verify bit-exact
-    agreement of round counts, final positions, every agent's gap
-    vector and the sampled observation logs -- between array and
-    lattice at every size, and additionally against the legacy
-    per-agent callback drivers and the exact Fraction backend at the
-    smallest swept size (``callback_checked_at`` /
-    ``fraction_checked_at`` record what actually ran; the native
-    drivers and all three backends are property-tested bit-exact at
-    every size in tier-1).  Timings are the best of ``repeats`` runs
-    for the smaller sizes and a single run at the largest.
-
-    Returns a JSON-ready report (the ``BENCH_speculative.json``
-    payload).
-    """
-    import os
-
-    from repro.exceptions import SimulationError
-
-    sizes = tuple(sizes)
-    check_at = min(sizes) if sizes else None
-    rows = []
-    for n in sizes:
-        _, latt_fp = _speculative_workload(
-            "lattice", n, distances_n, seed, "native", collect=True
-        )
-        _, arr_fp = _speculative_workload(
-            "array", n, distances_n, seed, "native", collect=True
-        )
-        if latt_fp != arr_fp:
-            raise SimulationError(
-                f"array and lattice backends disagree at n={n}"
-            )
-        if n == check_at:
-            _, cb_fp = _speculative_workload(
-                "lattice", n, distances_n, seed, "callback", collect=True
-            )
-            if cb_fp != latt_fp:
-                raise SimulationError(
-                    f"native and callback drivers disagree at n={n}"
-                )
-            _, frac_fp = _speculative_workload(
-                "fraction", n, distances_n, seed, "native", collect=True
-            )
-            if frac_fp != arr_fp:
-                raise SimulationError(
-                    f"array and Fraction backends disagree at n={n}"
-                )
-        runs = max(1, repeats) if n < max(sizes) else 1
-        timings: Dict[str, float] = {}
-        for backend in ("lattice", "array"):
-            timings[backend] = min(
-                _speculative_workload(
-                    backend, n, distances_n, seed, "native", collect=False
-                )[0]
-                for _ in range(runs)
-            )
-        rows.append({
-            "n": n,
-            "rounds": sum(phase[0] for phase in latt_fp),
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup_array_over_lattice": round(
-                timings["lattice"] / timings["array"], 2
-            ),
-        })
-
-    numpy_version = _numpy_version()
-    return {
-        "benchmark": "speculative_shootout",
-        "workload": {
-            "phases": [
-                "sweep_rotation_one(lazy)",
-                "sweep_rotation_two(basic, odd n//2+1)",
-                f"discover_distances(perceptive, n={distances_n})",
-            ],
-            "driver": "native",
-            "seed": seed,
-            "repeats": repeats,
-            "distances_n": distances_n,
-            "callback_checked_at": check_at,
-            "fraction_checked_at": check_at,
-        },
-        "bit_exact": True,
-        "sweep": rows,
-        "numpy": numpy_version,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-
-def _equations_distances_run(
-    n: int, seed: int, engine: str, collect: bool
-):
-    """One native array-backend Algorithm 6 run under ``engine``.
-
-    Returns ``(seconds, fingerprint)``; the fingerprint (rounds, final
-    positions, every agent's gap vector materialised to plain Fraction
-    lists) is only assembled on collecting runs, so timed runs measure
-    the phase alone.
-    """
-    from repro.core.scheduler import Scheduler
-    from repro.protocols.base import KEY_LD_GAPS
-    from repro.protocols.policies.distances import discover_distances
-    from repro.ring.configs import random_configuration
-    from repro.types import Model
-
-    state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend="array")
-    _speculative_preset(sched, leader=False, labels=True)
-    start = time.perf_counter()
-    discover_distances(sched, engine=engine)
-    elapsed = time.perf_counter() - start
-    fingerprint = None
-    if collect:
-        fingerprint = (
-            sched.rounds,
-            state.snapshot(),
-            [
-                list(column)
-                for column in sched.population.get_column(KEY_LD_GAPS)
-            ],
-        )
-    return elapsed, fingerprint
-
-
-def _equations_sweeps_run(n: int, seed: int, engine: str, collect: bool):
-    """The two LD sweeps (rotation 1 at ``n``, rotation 2 at the
-    nearest odd ``n // 2 + 1``) under ``engine`` on the array backend;
-    same contract as :func:`_equations_distances_run`."""
-    from repro.core.scheduler import Scheduler
-    from repro.protocols.base import KEY_LD_GAPS
-    from repro.protocols.policies.location_discovery import (
-        sweep_rotation_one,
-        sweep_rotation_two,
-    )
-    from repro.ring.configs import random_configuration
-    from repro.types import Model
-
-    n_odd = n // 2 + 1
-    if n_odd % 2 == 0:
-        n_odd += 1
-    elapsed = 0.0
-    fingerprint = [] if collect else None
-    rounds = 0
-    for run_phase, size, model in (
-        (sweep_rotation_one, n, Model.LAZY),
-        (sweep_rotation_two, n_odd, Model.BASIC),
-    ):
-        state = random_configuration(size, seed=seed, common_sense=False)
-        sched = Scheduler(state, model, backend="array")
-        _speculative_preset(sched, leader=True, labels=False)
-        start = time.perf_counter()
-        run_phase(sched, engine=engine)
+        run_phase(sched, **options)
         elapsed += time.perf_counter() - start
         rounds += sched.rounds
         if collect:
@@ -745,102 +544,69 @@ def _equations_sweeps_run(n: int, seed: int, engine: str, collect: bool):
                 sched.rounds,
                 state.snapshot(),
                 [
-                    list(column)
-                    for column in sched.population.get_column(KEY_LD_GAPS)
+                    list(gaps)
+                    for gaps in sched.population.get_column(KEY_LD_GAPS)
                 ],
+                [list(view.log) for view in sched.views[:64]],
             ))
-    return elapsed, fingerprint, rounds
+    return elapsed, rounds, fingerprint
 
 
-def equations_shootout(
-    distances_sizes: Sequence[int] = (24, 48, 96),
-    sweep_sizes: Sequence[int] = (256, 1024),
-    seed: int = 11,
-    repeats: int = 2,
-) -> Dict[str, object]:
-    """Time the fraction-free equation engine against the Fraction spec
-    on the data-dependent analysis hot paths (native array backend).
+#: Algorithm 6's fixed ring size inside the speculative shootout: small,
+#: so its backend-independent equation solve keeps the simulation layer
+#: under test visible in the ratio.
+_SPECULATIVE_DISTANCES_N = 48
 
-    Two workloads: Algorithm 6 (``discover_distances``) across
-    ``distances_sizes`` -- integer-column harvests into
-    ``IntEquationSystem`` vs the exact-`Fraction` ``EquationSystem``
-    spec -- and the two LD sweeps across ``sweep_sizes`` -- the lazy
-    columnar ``_GapHarvest`` vs the eager Fraction-list harvest.  At
-    *every* size, before any timing, collecting runs under both engines
-    must agree bit-exactly on round counts, final positions and every
-    agent's gap vector (exact ``Fraction`` equality; a mismatch raises
-    ``SimulationError``).  Timings are the best of ``repeats`` runs for
-    the smaller sizes and a single run at the largest of each sweep.
 
-    Returns a JSON-ready report (the ``BENCH_equations.json`` payload).
+def _speculative(sizes: Optional[Sequence[int]] = None) -> Report:
+    """The array backend's speculative fused stretches vs the lattice
+    backend on the data-dependent phases: :func:`_ld_workload` with
+    Algorithm 6 at n = 48 (default n = 256, 1024), checked against the
+    callback drivers and the exact Fraction backend at the smallest
+    size (``callback_checked_at`` / ``fraction_checked_at``).
+
+    Returns the ``BENCH_speculative.json`` payload.
     """
-    import os
+    return Pairwise(
+        partial(_ld_workload, distances_n=_SPECULATIVE_DISTANCES_N),
+        (_LATTICE, _ARRAY, _CALLBACK, _FRACTION),
+        sizes=(256, 1024), repeats=2,
+    ).sweep_report(
+        "speculative_shootout", sizes,
+        phases=[
+            "sweep_rotation_one(lazy)",
+            "sweep_rotation_two(basic, odd n//2+1)",
+            f"discover_distances(perceptive, n={_SPECULATIVE_DISTANCES_N})",
+        ],
+        driver="native",
+        distances_n=_SPECULATIVE_DISTANCES_N,
+    )
 
-    from repro.exceptions import SimulationError
 
-    distances_sizes = tuple(distances_sizes)
-    sweep_sizes = tuple(sweep_sizes)
+def _equations(sizes: Optional[Sequence[int]] = None) -> Report:
+    """The fraction-free equation engine vs the exact-Fraction spec on
+    the native array backend (``engine="int"`` vs ``"fraction"``), in
+    two tables of :func:`_ld_workload`: Algorithm 6 alone at n = 24,
+    48, 96 (``IntEquationSystem`` vs ``EquationSystem``) and the two LD
+    sweeps alone at n = 256, 1024 (the lazy columnar gap harvest vs the
+    eager Fraction list).  ``sizes`` replaces both ladders; the engines
+    are checked bit-exact at every size (``bit_exact_checked_at``).
 
-    distances_rows = []
-    for n in distances_sizes:
-        _, int_fp = _equations_distances_run(n, seed, "int", collect=True)
-        _, frac_fp = _equations_distances_run(
-            n, seed, "fraction", collect=True
-        )
-        if int_fp != frac_fp:
-            raise SimulationError(
-                f"int and Fraction equation engines disagree on "
-                f"distances at n={n}"
-            )
-        runs = max(1, repeats) if n < max(distances_sizes) else 1
-        timings: Dict[str, float] = {}
-        for engine in ("int", "fraction"):
-            timings[engine] = min(
-                _equations_distances_run(n, seed, engine, collect=False)[0]
-                for _ in range(runs)
-            )
-        distances_rows.append({
-            "n": n,
-            "rounds": int_fp[0],
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup_int_over_fraction": round(
-                timings["fraction"] / timings["int"], 2
-            ),
-        })
-
-    sweep_rows = []
-    for n in sweep_sizes:
-        _, int_fp, rounds = _equations_sweeps_run(
-            n, seed, "int", collect=True
-        )
-        _, frac_fp, _ = _equations_sweeps_run(
-            n, seed, "fraction", collect=True
-        )
-        if int_fp != frac_fp:
-            raise SimulationError(
-                f"columnar and Fraction harvests disagree on the LD "
-                f"sweeps at n={n}"
-            )
-        runs = max(1, repeats) if n < max(sweep_sizes) else 1
-        timings = {}
-        for engine in ("int", "fraction"):
-            timings[engine] = min(
-                _equations_sweeps_run(n, seed, engine, collect=False)[0]
-                for _ in range(runs)
-            )
-        sweep_rows.append({
-            "n": n,
-            "rounds": rounds,
-            "seconds": {k: round(v, 6) for k, v in timings.items()},
-            "speedup_int_over_fraction": round(
-                timings["fraction"] / timings["int"], 2
-            ),
-        })
-
-    numpy_version = _numpy_version()
-    return {
-        "benchmark": "equations_shootout",
-        "workload": {
+    Returns the ``BENCH_equations.json`` payload.
+    """
+    engines = (
+        Contender("fraction", backend="array", engine="fraction"),
+        Contender("int", backend="array", engine="int"),
+    )
+    distances = Pairwise(partial(_ld_workload, sweeps=False), engines,
+                         sizes=(24, 48, 96), repeats=2)
+    sweeps = Pairwise(partial(_ld_workload, distances=False), engines,
+                      sizes=(256, 1024), repeats=2)
+    distances_sizes = list(distances.sizes if sizes is None else sizes)
+    sweep_sizes = list(sweeps.sizes if sizes is None else sizes)
+    return _report(
+        "equations_shootout",
+        {
             "backend": "array",
             "driver": "native",
             "phases": [
@@ -848,108 +614,104 @@ def equations_shootout(
                 "sweep_rotation_one(lazy) + sweep_rotation_two"
                 "(basic, odd n//2+1), columnar vs fraction harvest",
             ],
-            "seed": seed,
-            "repeats": repeats,
-            "distances_sizes": list(distances_sizes),
-            "sweep_sizes": list(sweep_sizes),
+            "seed": _SEED,
+            "repeats": distances.repeats,
+            "distances_sizes": distances_sizes,
+            "sweep_sizes": sweep_sizes,
             "bit_exact_checked_at": {
-                "distances": list(distances_sizes),
-                "sweeps": list(sweep_sizes),
+                "distances": distances_sizes,
+                "sweeps": sweep_sizes,
             },
         },
-        "bit_exact": True,
-        "distances": distances_rows,
-        "sweeps": sweep_rows,
-        "numpy": numpy_version,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
+        distances=distances.rows(distances_sizes),
+        sweeps=sweeps.rows(sweep_sizes),
+    )
 
 
-def _worker_counts(workers: int) -> List[int]:
-    """The scaling-curve worker counts: 1, 2, 4, ... capped at workers."""
-    counts = []
-    w = 1
-    while w < workers:
-        counts.append(w)
-        w *= 2
-    counts.append(workers)
-    return counts
+def _best_seconds(
+    make_fleet: Callable[[], object], repeats: int,
+    check: Callable[[object], None] = lambda report: None,
+) -> float:
+    """Best ``seconds_total`` over ``repeats`` runs of the fleet
+    ``make_fleet()`` returns, each run's report passed to ``check``."""
+    best = None
+    for _ in range(repeats):
+        report = make_fleet().run()
+        check(report)
+        if best is None or report.seconds_total < best:
+            best = report.seconds_total
+    return best
 
 
-def fleet_shootout(
-    sessions: int = 16,
-    n: int = 24,
-    workers: int = 4,
-    seed: int = 0,
-    model: str = "perceptive",
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time a fleet sweep serially vs. across warm process pools.
+def _fleet_specs(n: int, sessions: int, **variant: object) -> list:
+    """The fleet and cache shootouts' specs: ``sessions`` perceptive
+    location-discovery rings of size ``n`` with seeds 0, 1, ...;
+    ``variant`` picks the backends and the driver."""
+    from repro.api.fleet import sweep
 
-    The same ``sessions``-ring sweep (one seed per ring, identical
-    specs) runs on the serial executor and on the persistent warm
-    pools of :mod:`repro.parallel` at every worker count of the
-    doubling curve ``1, 2, 4, ... workers``.  Each pool is warmed
+    return sweep(
+        protocol="location-discovery",
+        sizes=(n,),
+        seeds=range(sessions),
+        models=("perceptive",),
+        **variant,
+    )
+
+
+#: The fleet shootout's scaling curve: warm-pool worker counts.
+_FLEET_WORKERS = (1, 2, 4)
+
+
+def _fleet(sizes: Optional[Sequence[int]] = None) -> Report:
+    """A fleet sweep serially vs. across warm process pools.
+
+    The same 16-ring location-discovery sweep (one seed per ring, ring
+    size from ``sizes``, default 24) runs on the serial executor and on
+    the persistent warm pools of :mod:`repro.parallel` at every worker
+    count of the scaling curve ``1, 2, 4``.  Each pool is warmed
     (workers spawned, session stack imported) *before* its timed
     repeats, so pool spin-up never lands in a timed region; spec and
     result payloads travel through shared-memory slots, not pickles.
     Every run must produce bit-identical result payloads (a mismatch
-    raises ``SimulationError``).  Timings are the best of ``repeats``
-    runs per executor.
+    raises ``SimulationError``).  Timings are the best of 3 runs per
+    executor.
 
     The reported ``parallel_speedup`` is serial wall-clock over the
     best pool wall-clock across the scaling curve -- the pool's best
     configuration; ``scaling`` holds the whole per-worker-count curve.
-    On multicore the best point is the full-``workers`` pool and the
-    headline approaches ``min(workers, cpus)``; on a single-CPU host
-    every pool size hovers around 1.0x (cooperative overhead only --
-    the warm pool removes the historic spin-up penalty) and the curve
-    degrades slightly with worker count, so the best point is the
-    honest headline.  ``cpu_count`` is recorded so the numbers read in
-    context.
+    On multicore the best point is the full 4-worker pool and the
+    headline approaches ``min(4, cpus)``; on a single-CPU host every
+    pool size hovers around 1.0x (cooperative overhead only -- the warm
+    pool removes the historic spin-up penalty) and the curve degrades
+    slightly with worker count, so the best point is the honest
+    headline.  ``cpu_count`` is recorded so the numbers read in context.
 
-    Returns a JSON-ready report (the ``BENCH_fleet.json`` payload).
+    Returns the ``BENCH_fleet.json`` payload.
     """
-    import os
+    from repro.api.fleet import Fleet
 
-    from repro.api.fleet import Fleet, sweep
-    from repro.exceptions import SimulationError
+    n = _one_size("fleet", sizes, (24,))
+    sessions, repeats = 16, 3
+    specs = _fleet_specs(n, sessions, backends=("lattice",))
+    reference: List[object] = []
 
-    specs = sweep(
-        protocol="location-discovery",
-        sizes=(n,),
-        seeds=range(seed, seed + sessions),
-        models=(model,),
-        backends=("lattice",),
-    )
-    repeats = max(1, repeats)
-    reference = None
+    def same_payloads(report) -> None:
+        if not reference:
+            reference.append(report.payloads())
+        elif report.payloads() != reference[0]:
+            raise SimulationError(
+                "fleet results differ across executors/runs "
+                f"({report.executor}, {report.workers} workers)"
+            )
 
-    def timed_runs(fleet: Fleet, label: str) -> float:
-        nonlocal reference
-        best = None
-        for _ in range(repeats):
-            report = fleet.run()
-            if reference is None:
-                reference = report.payloads()
-            elif report.payloads() != reference:
-                raise SimulationError(
-                    "fleet results differ across executors/runs "
-                    f"({label})"
-                )
-            if best is None or report.seconds_total < best:
-                best = report.seconds_total
-        return best
-
-    serial_best = timed_runs(Fleet(specs, executor="serial"), "serial")
+    serial = Fleet(specs, executor="serial")
+    serial_best = _best_seconds(lambda: serial, repeats, same_payloads)
     scaling: List[Dict[str, object]] = []
     pool_best = None
-    for count in _worker_counts(workers):
+    for count in _FLEET_WORKERS:
         fleet = Fleet(specs, workers=count, executor="process")
         fleet.warm()  # spin-up excluded from the timed repeats
-        best = timed_runs(fleet, f"process_pool[{count}]")
+        best = _best_seconds(lambda: fleet, repeats, same_payloads)
         scaling.append({
             "workers": count,
             "seconds": round(best, 6),
@@ -961,16 +723,15 @@ def fleet_shootout(
         })
         if pool_best is None or best < pool_best:
             pool_best = best
-    speedup = serial_best / pool_best
     return {
         "benchmark": "fleet_shootout",
         "workload": {
             "sessions": sessions,
             "n": n,
-            "model": model,
+            "model": "perceptive",
             "protocol": "location-discovery",
-            "seed": seed,
-            "workers": workers,
+            "seed": 0,
+            "workers": _FLEET_WORKERS[-1],
             "repeats": repeats,
         },
         "deterministic_across_executors": True,
@@ -980,34 +741,26 @@ def fleet_shootout(
             "process_pool": round(pool_best, 6),
         },
         "scaling": scaling,
-        "parallel_speedup": round(speedup, 2),
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        "parallel_speedup": round(serial_best / pool_best, 2),
+        **_environment(),
     }
 
 
-def cache_shootout(
-    sessions: int = 8,
-    n: int = 16,
-    dupes: int = 4,
-    seed: int = 0,
-    model: str = "perceptive",
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time run-store warm fetches and sweep dedup against recompute.
+def _cache(sizes: Optional[Sequence[int]] = None) -> Report:
+    """Run-store warm fetches and sweep dedup against recompute.
 
     Two measurements over location-discovery sweeps on the lattice
-    backend (every store interaction through the public Fleet path):
+    backend (ring size from ``sizes``, default 16; every store
+    interaction through the public Fleet path):
 
-    * **warm**: a ``sessions``-spec sweep whose results are already
-      stored runs with the cache on (every spec a hit) against the
-      same sweep recomputed serially.  This is the steady-state payoff
-      of the store: a rerun of yesterday's sweep.
-    * **dedup**: a sweep of ``dupes`` distinct specs, each repeated
-      ``dupes`` times, runs against a *fresh empty store each repeat*
-      -- so the win is purely intra-sweep deduplication (each distinct
-      key computed once, duplicates fanned out), not warm hits.
+    * **warm**: an 8-spec sweep whose results are already stored runs
+      with the cache on (every spec a hit) against the same sweep
+      recomputed serially.  This is the steady-state payoff of the
+      store: a rerun of yesterday's sweep.
+    * **dedup**: a sweep of 4 distinct specs, each repeated 4 times,
+      runs against a *fresh empty store each repeat* -- so the win is
+      purely intra-sweep deduplication (each distinct key computed
+      once, duplicates fanned out), not warm hits.
 
     Bit-exactness is enforced **before** any timing: fetched payloads
     must equal the serially recomputed reference, a backend/driver
@@ -1015,38 +768,26 @@ def cache_shootout(
     by the same entries -- that is the key's backend-independence --
     and a sampled variant is recomputed uncached and compared against
     the fetched payload.  Any mismatch raises ``SimulationError``.
-    Timings are best-of-``repeats``.
+    Timings are best of 3.
 
-    Returns a JSON-ready report (the ``BENCH_cache.json`` payload).
+    Returns the ``BENCH_cache.json`` payload.
     """
-    import os
     import shutil
     import tempfile
 
-    from repro.api.fleet import Fleet, run_session_spec, sweep
-    from repro.exceptions import SimulationError
+    from repro.api.fleet import Fleet, run_session_spec
     from repro.store.service import reset_stores
 
-    repeats = max(1, repeats)
-    specs = sweep(
-        protocol="location-discovery",
-        sizes=(n,),
-        seeds=range(seed, seed + sessions),
-        models=(model,),
-        backends=("lattice",),
-    )
-    variant_specs = sweep(
-        protocol="location-discovery",
-        sizes=(n,),
-        seeds=range(seed, seed + sessions),
-        models=(model,),
-        backends=("fraction",),
-        driver="callback",
+    n = _one_size("cache", sizes, (16,))
+    sessions, dupes, repeats = 8, 4, 3
+    specs = _fleet_specs(n, sessions, backends=("lattice",))
+    variant_specs = _fleet_specs(
+        n, sessions, backends=("fraction",), driver="callback"
     )
     scratch: List[str] = []
 
     def fresh_dir() -> str:
-        path = tempfile.mkdtemp(prefix="repro-bench-cache-")
+        path = tempfile.mkdtemp(prefix="repro-cache-shootout-")
         scratch.append(path)
         return path
 
@@ -1084,36 +825,22 @@ def cache_shootout(
             )
 
         # -- warm: all-hit sweep vs serial recompute -----------------
-        def best_of(make_fleet) -> float:
-            best = None
-            for _ in range(repeats):
-                report = make_fleet().run()
-                if best is None or report.seconds_total < best:
-                    best = report.seconds_total
-            return best
-
-        recompute_best = best_of(
-            lambda: Fleet(specs, executor="serial", cache=False)
+        recompute_best = _best_seconds(
+            lambda: Fleet(specs, executor="serial", cache=False), repeats
         )
-        warm_best = best_of(
+        warm_best = _best_seconds(
             lambda: Fleet(
                 specs, executor="serial", cache=True, cache_dir=warm_dir,
-            )
+            ),
+            repeats,
         )
 
         # -- dedup: duplicated sweep against a fresh store each time -
         dup_specs = [
             spec for spec in specs[:dupes] for _ in range(dupes)
         ]
-        dup_uncached_best = best_of(
-            lambda: Fleet(dup_specs, executor="serial", cache=False)
-        )
-        dup_best = None
-        for _ in range(repeats):
-            report = Fleet(
-                dup_specs, executor="serial", cache=True,
-                cache_dir=fresh_dir(),
-            ).run()
+
+        def computed_once(report) -> None:
             summary = report.cache or {}
             if summary.get("misses") != dupes or (
                 summary.get("deduped") != len(dup_specs) - dupes
@@ -1122,38 +849,80 @@ def cache_shootout(
                     "dedup sweep did not compute each distinct key "
                     f"exactly once: {summary}"
                 )
-            if dup_best is None or report.seconds_total < dup_best:
-                dup_best = report.seconds_total
+
+        dup_uncached_best = _best_seconds(
+            lambda: Fleet(dup_specs, executor="serial", cache=False),
+            repeats,
+        )
+        dup_best = _best_seconds(
+            lambda: Fleet(
+                dup_specs, executor="serial", cache=True,
+                cache_dir=fresh_dir(),
+            ),
+            repeats,
+            computed_once,
+        )
     finally:
         reset_stores()
         for path in scratch:
             shutil.rmtree(path, ignore_errors=True)
 
-    return {
-        "benchmark": "cache_shootout",
-        "workload": {
+    return _report(
+        "cache_shootout",
+        {
             "sessions": sessions,
             "n": n,
             "dupes": dupes,
-            "model": model,
+            "model": "perceptive",
             "protocol": "location-discovery",
             "backend": "lattice",
             "variant_backend": "fraction",
             "variant_driver": "callback",
-            "seed": seed,
+            "seed": 0,
             "repeats": repeats,
         },
-        "bit_exact": True,
-        "seconds": {
+        seconds={
             "recompute": round(recompute_best, 6),
             "warm_fetch": round(warm_best, 6),
             "dup_sweep_uncached": round(dup_uncached_best, 6),
             "dup_sweep_deduped": round(dup_best, 6),
         },
-        "warm_speedup": round(recompute_best / warm_best, 2),
-        "dedup_speedup": round(dup_uncached_best / dup_best, 2),
-        "entries": len(specs),
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
+        warm_speedup=round(recompute_best / warm_best, 2),
+        dedup_speedup=round(dup_uncached_best / dup_best, 2),
+        entries=len(specs),
+    )
+
+
+#: The shootouts, keyed by report name: entry ``x`` writes
+#: ``BENCH_x.json``.  Each maps an optional ``sizes`` override to its
+#: JSON-ready report; seeds, repeats and secondary sizes are fixed per
+#: entry so a report is comparable across machines and PRs.
+SHOOTOUTS: Dict[str, Callable[[Optional[Sequence[int]]], Report]] = {
+    "simulator": _simulator,
+    "policies": _policies,
+    "array": _array,
+    "speculative": _speculative,
+    "equations": _equations,
+    "fleet": _fleet,
+    "cache": _cache,
+}
+
+
+def shootout(name: str, sizes: Optional[Sequence[int]] = None) -> Report:
+    """Run the :data:`SHOOTOUTS` entry ``name`` and return its report.
+
+    ``sizes`` replaces the entry's default ring sizes -- the only knob.
+    ``simulator``, ``fleet`` and ``cache`` measure exactly one size;
+    ``equations`` applies ``sizes`` to both its Algorithm 6 and its
+    sweep ladders.  An unknown name or an unusable size list raises
+    :class:`ConfigurationError`; a fingerprint mismatch raises
+    :class:`SimulationError` before any timed run.
+    """
+    if name not in SHOOTOUTS:
+        raise ConfigurationError(
+            f"unknown shootout {name!r} (choose from "
+            f"{', '.join(SHOOTOUTS)})"
+        )
+    if sizes is not None and not sizes:
+        raise ConfigurationError(f"shootout {name!r} needs a ring size")
+    return SHOOTOUTS[name](sizes)

@@ -161,6 +161,17 @@ class TestCli:
                   if line.startswith("repro: error:")]
         assert len(errors) == 1
 
+    def test_demo_infeasible_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--model", "basic", "--n", "8"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert "Lemma 5" in errors[0]
+
     @pytest.mark.parametrize("argv,message", [
         (["run", "location-discovery", "--n", "8", "--model", "basic"],
          "Lemma 5"),
@@ -202,33 +213,43 @@ class TestCliFaults:
 
 
 class TestCliBenchReports:
-    """Every bench verb prints its JSON report; with --out it also
-    writes the same bytes to the file and says so on the last line."""
+    """``bench NAME`` prints its JSON report on stdout; with --out it
+    also writes the same bytes to the file and says so on stderr, so
+    redirected stdout stays valid JSON."""
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--n", "8", "--rounds", "4"],
-        ["bench-policies", "--sizes", "8"],
-        ["bench-array", "--sizes", "16"],
-        ["bench-speculative", "--sizes", "16", "--distances-n", "8"],
-        ["bench-equations", "--distances-sizes", "8", "--sweep-sizes", "16"],
-        ["bench-cache", "--sessions", "2", "--n", "8", "--dupes", "2"],
-    ], ids=lambda argv: argv[0])
-    def test_out_file_matches_printed_report(self, capsys, tmp_path, argv):
+    def test_out_file_matches_printed_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        assert main(argv + ["--repeats", "1", "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        tail = f"wrote {path}\n"
-        assert out.endswith(tail)
-        printed = out[: -len(tail)]
-        assert path.read_text() == printed
-        assert json.loads(printed)
+        assert main(["bench", "simulator", "--sizes", "8",
+                     "--out", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == path.read_text()
+        assert json.loads(captured.out)["workload"]["n"] == 8
+        assert captured.err == f"wrote {path}\n"
 
     def test_without_out_prints_only_the_report(self, capsys):
-        assert main(["bench", "--n", "8", "--rounds", "4",
-                     "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        report = json.loads(out)
-        assert out == json.dumps(report, indent=2) + "\n"
+        assert main(["bench", "simulator", "--sizes", "8"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.out == json.dumps(report, indent=2) + "\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv,prog", [
+        (["bench", "fleet", "--sizes", "8,16"], "repro"),
+        (["bench", "nosuch"], "repro bench"),
+        (["bench-array"], "repro"),
+        (["bench", "--n", "8"], "repro bench"),
+    ], ids=["two-sizes", "unknown-name", "removed-verb", "removed-flag"])
+    def test_bad_bench_input_is_a_usage_error(self, capsys, argv, prog):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if ": error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{prog}: error:")
 
 
 class TestCliCache:

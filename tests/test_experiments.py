@@ -1,22 +1,22 @@
-"""Tests for the experiment drivers and the table harness."""
+"""Tests for the experiment drivers, the table harness and the
+bit-exact-then-time shootouts."""
 
 import pytest
 
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments.harness import (
+    SHOOTOUTS,
+    Contender,
     ExperimentRow,
-    geometric_sizes,
+    Pairwise,
     render_table,
+    shootout,
 )
 from repro.experiments import figures, lower_bounds, table1, table2
 from repro.types import Model
 
 
 class TestHarness:
-    def test_geometric_sizes(self):
-        assert geometric_sizes(8, 64) == [8, 16, 32, 64]
-        assert geometric_sizes(5, 50, factor=3) == [5, 15, 45]
-        assert geometric_sizes(100, 50) == []
-
     def test_render_empty(self):
         assert "(empty)" in render_table([], "title")
 
@@ -115,3 +115,151 @@ class TestLowerBounds:
         rows = lower_bounds.distinguisher_sizes(max_exact_universe=5)
         n1 = [r for r in rows if r.label == "exact minimal (n=1)"]
         assert [r.measured["size"] for r in n1] == [2, 3]
+
+
+class TestShootoutCore:
+    """:meth:`Pairwise.rows` proves bit-exactness before it times."""
+
+    BASE, CAND, REF = Contender("base"), Contender("cand"), Contender("ref")
+
+    def entry(self, calls, differs=None):
+        """A fake entry whose workload logs ``(label, n, collect)`` and
+        fingerprints ``n`` -- or ``-n`` for the ``differs`` label."""
+        def workload(contender, n, collect):
+            calls.append((contender.label, n, collect))
+            flipped = contender.label == differs
+            fingerprint = (-n if flipped else n) if collect else None
+            return 0.5 if contender is self.BASE else 0.25, n + 1, fingerprint
+
+        return Pairwise(workload, (self.BASE, self.CAND, self.REF),
+                        sizes=(8, 16), repeats=2)
+
+    def test_rows_time_baseline_and_candidate_after_all_checks(self):
+        calls = []
+        rows = self.entry(calls).rows((8, 16))
+        assert rows == [
+            {"n": n, "rounds": n + 1,
+             "seconds": {"base": 0.5, "cand": 0.25},
+             "speedup_cand_over_base": 2.0}
+            for n in (8, 16)
+        ]
+        collecting = [call for call in calls if call[2]]
+        assert collecting == [
+            ("base", 8, True), ("cand", 8, True), ("ref", 8, True),
+            ("base", 16, True), ("cand", 16, True),
+        ]
+        assert calls[:len(collecting)] == collecting
+        timed = calls[len(collecting):]
+        assert timed == [
+            (label, n, False)
+            for n in (8, 16) for label in ("base", "base", "cand", "cand")
+        ]
+
+    def test_candidate_mismatch_raises_before_any_timed_run(self):
+        calls = []
+        with pytest.raises(SimulationError) as exc:
+            self.entry(calls, differs="cand").rows((8, 16))
+        assert str(exc.value) == "cand and base disagree at n=8"
+        assert all(collect for _, _, collect in calls)
+
+    def test_reference_mismatch_is_caught_at_the_smallest_size(self):
+        calls = []
+        with pytest.raises(SimulationError) as exc:
+            self.entry(calls, differs="ref").rows((16, 8))
+        assert str(exc.value) == "ref and base disagree at n=8"
+        assert ("ref", 16, True) not in calls
+        assert all(collect for _, _, collect in calls)
+
+    @pytest.mark.parametrize("name,sizes", [
+        ("simulator", (8, 16)),
+        ("fleet", (8, 16)),
+        ("cache", (8, 16)),
+        ("array", ()),
+        ("nosuch", None),
+    ])
+    def test_bad_names_and_sizes_are_configuration_errors(self, name, sizes):
+        with pytest.raises(ConfigurationError):
+            shootout(name, sizes)
+
+
+#: Every report key ``tools/check_docs.py`` and the matching
+#: ``benchmarks/bench_*.py`` gate read; ``*`` walks every row.
+READ_KEYS = {
+    "simulator": [
+        "bit_exact", "workload.n", "seconds",
+        "speedup_lattice_over_fraction",
+    ],
+    "policies": [
+        "bit_exact", "sweep.*.n", "sweep.*.seconds",
+        "sweep.*.speedup_native_over_callback",
+    ],
+    "array": [
+        "bit_exact", "workload.fraction_checked_at", "numpy", "sweep.*.n",
+        "sweep.*.seconds", "sweep.*.speedup_array_over_lattice",
+    ],
+    "speculative": [
+        "bit_exact", "workload.callback_checked_at",
+        "workload.fraction_checked_at", "numpy", "sweep.*.n",
+        "sweep.*.seconds", "sweep.*.speedup_array_over_lattice",
+    ],
+    "equations": [
+        "bit_exact", "workload.bit_exact_checked_at.distances",
+        "workload.bit_exact_checked_at.sweeps", "numpy",
+        "distances.*.n", "distances.*.seconds",
+        "distances.*.speedup_int_over_fraction",
+        "sweeps.*.n", "sweeps.*.seconds",
+        "sweeps.*.speedup_int_over_fraction",
+    ],
+    "fleet": [
+        "deterministic_across_executors", "warm_pool", "seconds",
+        "parallel_speedup", "cpu_count", "workload.sessions",
+        "workload.workers", "scaling.*.workers", "scaling.*.cpu_count",
+    ],
+    "cache": [
+        "bit_exact", "entries", "seconds", "warm_speedup",
+        "dedup_speedup", "workload.sessions", "workload.dupes",
+    ],
+}
+
+TOY_SIZES = {"array": (16,), "speculative": (16,)}
+
+
+def _values(node, path):
+    """Every value at dotted ``path`` in ``node`` (``*`` = each row)."""
+    head, _, rest = path.partition(".")
+    if head == "*":
+        assert isinstance(node, list) and node
+        children = node
+    else:
+        assert head in node, f"missing key {head!r}"
+        children = [node[head]]
+    if not rest:
+        return children
+    return [value for child in children for value in _values(child, rest)]
+
+
+class TestShootouts:
+    @pytest.mark.parametrize("name", list(SHOOTOUTS))
+    def test_toy_report_carries_every_read_key(self, name):
+        sizes = TOY_SIZES.get(name, (8,))
+        report = shootout(name, sizes)
+        for path in READ_KEYS[name]:
+            assert _values(report, path), path
+        for key in ("numpy", "cpu_count", "python", "platform"):
+            assert key in report
+        assert report.get("bit_exact", True) is True
+        workload = report["workload"]
+        if name == "fleet":
+            assert report["deterministic_across_executors"] is True
+            assert [row["workers"] for row in report["scaling"]] == [1, 2, 4]
+        elif name == "cache":
+            assert report["entries"] == 8
+        elif name == "equations":
+            assert workload["bit_exact_checked_at"] == {
+                "distances": list(sizes), "sweeps": list(sizes),
+            }
+        for key in ("fraction_checked_at", "callback_checked_at"):
+            if key in workload:
+                assert workload[key] == min(sizes)
+        for row in report.get("sweep", []):
+            assert row["n"] in sizes and row["rounds"] > 0
