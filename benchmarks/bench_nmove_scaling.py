@@ -52,15 +52,15 @@ def test_nmove_scaling_sublinear(once):
     assert rows[-1].measured["rounds"] <= 8 * rows[0].measured["rounds"]
 
 
-def test_nmove_backends_agree_and_lattice_wins(once):
+def test_nmove_backends_agree_and_array_wins(once):
     """Both kinematics backends drive NMoveS to identical statistics;
-    the lattice backend does it faster on the n = 64 instance."""
+    the array backend does it faster on the n = 64 instance."""
     import time
 
     def run():
         timings = {}
         rows = {}
-        for backend in ("fraction", "lattice"):
+        for backend in ("fraction", "array"):
             best = float("inf")
             for _ in range(3):  # best-of-3: robust to scheduler noise
                 start = time.perf_counter()
@@ -70,11 +70,11 @@ def test_nmove_backends_agree_and_lattice_wins(once):
         return rows, timings
 
     rows, timings = once(run)
-    assert rows["fraction"].measured == rows["lattice"].measured
-    speedup = timings["fraction"] / timings["lattice"]
+    assert rows["fraction"].measured == rows["array"].measured
+    speedup = timings["fraction"] / timings["array"]
     print(f"\nNMoveS n=64 backend timings: "
           f"fraction={timings['fraction']:.4f}s "
-          f"lattice={timings['lattice']:.4f}s ({speedup:.1f}x)")
+          f"array={timings['array']:.4f}s ({speedup:.1f}x)")
     # The protocol spends rounds outside kinematics too, so the bar is
     # lower than the raw shootout's 5x.
     assert speedup > 1.0

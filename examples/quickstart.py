@@ -19,8 +19,7 @@ from repro import Model, RingSession
 
 def main() -> None:
     n = 8
-    session = RingSession(n=n, model=Model.PERCEPTIVE, seed=2024,
-                          backend="lattice")
+    session = RingSession(n=n, model=Model.PERCEPTIVE, seed=2024)
     state = session.state
     print(f"ring with n={n} agents, ID space [1, {state.id_bound}], "
           f"backend={session.backend_name}")

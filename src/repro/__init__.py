@@ -17,9 +17,9 @@ from repro.exceptions import (
 from repro.ring.state import RingState
 from repro.ring.backends import (
     DEFAULT_BACKEND,
+    ArrayBackend,
     FractionBackend,
     KinematicsBackend,
-    LatticeBackend,
     make_backend,
 )
 from repro.ring.simulator import RingSimulator
@@ -87,7 +87,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KinematicsBackend",
     "FractionBackend",
-    "LatticeBackend",
+    "ArrayBackend",
     "make_backend",
     "random_configuration",
     "jittered_equidistant_configuration",

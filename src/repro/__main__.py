@@ -5,7 +5,7 @@ Usage::
 
     python -m repro run [coordination|location-discovery] [--n 8]
                         [--model perceptive] [--seed 2024]
-                        [--backend lattice|fraction|array]
+                        [--backend array|fraction]
                         [--common-sense]
                         [--driver native|callback]
                         [--unchecked] [--json]
@@ -13,7 +13,7 @@ Usage::
                         [--faults PLAN|@file.json]
     python -m repro sweep [--protocol location-discovery]
                           [--sizes 8,16] [--seeds 0,1,2,3]
-                          [--models perceptive] [--backends lattice]
+                          [--models perceptive] [--backends array]
                           [--driver native|callback] [--workers 4]
                           [--executor process] [--out X.json]
                           [--cache|--no-cache] [--cache-dir DIR]
@@ -21,16 +21,17 @@ Usage::
     python -m repro cache stats|verify|clear [--cache-dir DIR]
                                              [--sample N]
     python -m repro table1 [--odd 9,17,33] [--even 8,16,32] [--seed 1]
-                           [--backend lattice|fraction] [--json]
+                           [--backend array|fraction] [--json]
     python -m repro table2 [--backend ...] [--json]
     python -m repro figures [--backend ...] [--json]
     python -m repro lower-bounds [--backend ...] [--json]
     python -m repro demo [--n 8] [--model perceptive] [--seed 2024]
-                         [--backend lattice|fraction]
+                         [--backend array|fraction]
     python -m repro bench simulator|policies|array|speculative|equations|
                           fleet|cache [--sizes LIST] [--out PATH]
 
-``run`` with no protocol lists the registry.  All structured output
+``run`` with no protocol lists the registry.  Input that cannot run is
+one ``repro: error:`` line and exit status 2.  All structured output
 (``--json``, ``sweep``) uses exact ``"p/q"`` strings for rationals.
 ``--cache`` (or ``REPRO_CACHE=1``) serves repeated runs from the
 content-addressed run store; fetched results are bit-identical to
@@ -44,6 +45,18 @@ import argparse
 import json
 import sys
 from typing import List, Optional
+
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleProblemError,
+    ProtocolError,
+    ReproError,
+)
+from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND
+
+#: Input that cannot run (unknown names, unrunnable sizes, infeasible
+#: settings): one ``repro: error:`` line and exit status 2.
+_USAGE_ERRORS = (ConfigurationError, InfeasibleProblemError, ProtocolError)
 
 
 def _sizes(spec: str) -> List[int]:
@@ -154,13 +167,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
             print(f"  {spec.name:20s} {spec.description}")
         return
 
-    from repro.exceptions import (
-        ConfigurationError,
-        InfeasibleProblemError,
-        ProtocolError,
-        ReproError,
-    )
-
     faults = _parse_faults(args)
     if faults is not None:
         try:
@@ -206,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
                 print(f"fault detected by {args.protocol}: "
                       f"{type(exc).__name__}: {exc}")
             return 1
-        if isinstance(exc, (InfeasibleProblemError, ProtocolError)):
+        if isinstance(exc, _USAGE_ERRORS):
             # Unknown protocol names and paper-proven-infeasible
             # settings are user errors, not tracebacks.
             args.parser.error(str(exc))
@@ -251,40 +257,32 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from repro.api import Fleet, get_protocol, sweep
-    from repro.exceptions import ProtocolError
 
     try:
         get_protocol(args.protocol)
     except ProtocolError as exc:
         args.parser.error(f"--protocol: {exc}")
 
-    from repro.ring.backends import BACKEND_NAMES
     from repro.types import Model
 
     # Validate the comma-separated lists up front: a typo should be an
     # argparse-style error, not a traceback out of a pool worker.
     models = _names(args.models)
     backends = _names(args.backends)
-    valid_models = {m.value for m in Model}
-    valid_backends = set(BACKEND_NAMES)
-    bad = [m for m in models if m not in valid_models]
-    if bad:
-        args.parser.error(
-            f"--models: unknown {', '.join(bad)} "
-            f"(choose from {', '.join(sorted(valid_models))})"
-        )
-    bad = [b for b in backends if b not in valid_backends]
-    if bad:
-        args.parser.error(
-            f"--backends: unknown {', '.join(bad)} "
-            f"(choose from {', '.join(sorted(valid_backends))})"
-        )
+    for flag, names, valid in (
+        ("--models", models, sorted(m.value for m in Model)),
+        ("--backends", backends, sorted(BACKEND_NAMES)),
+    ):
+        bad = [name for name in names if name not in valid]
+        if bad:
+            args.parser.error(
+                f"{flag}: unknown {', '.join(bad)} "
+                f"(choose from {', '.join(valid)})"
+            )
 
     faults = _parse_faults(args)
     sizes = _sizes(args.sizes)
     if faults is not None:
-        from repro.exceptions import ConfigurationError
-
         for n in sizes:
             try:
                 faults.validate_for(n)
@@ -306,7 +304,12 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         specs, workers=args.workers, executor=args.executor,
         cache=args.cache, cache_dir=args.cache_dir,
     )
-    report = fleet.run()
+    try:
+        report = fleet.run()
+    except _USAGE_ERRORS as exc:
+        # A spec that cannot run, re-raised from whichever executor ran
+        # it: a usage error, like the same input to ``run``.
+        args.parser.error(str(exc))
     payload = report.to_json()
     print(payload)
     if args.out:
@@ -316,8 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> None:
-    from repro import ConfigurationError, Model, RingSession
-    from repro.exceptions import InfeasibleProblemError, ProtocolError
+    from repro import Model, RingSession
 
     model = Model(args.model)
     try:
@@ -331,7 +333,7 @@ def _cmd_demo(args: argparse.Namespace) -> None:
           f"backend={args.backend}")
     try:
         result = session.run("location-discovery")
-    except (InfeasibleProblemError, ProtocolError) as exc:
+    except _USAGE_ERRORS as exc:
         args.parser.error(str(exc))
     print(f"location discovery solved in {result.rounds} rounds:")
     for phase, rounds in result.rounds_by_phase.items():
@@ -340,16 +342,11 @@ def _cmd_demo(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.exceptions import (
-        ConfigurationError,
-        InfeasibleProblemError,
-        ProtocolError,
-    )
     from repro.experiments.harness import report_json, shootout, write_report
 
     try:
         report = shootout(args.name, args.sizes)
-    except (ConfigurationError, InfeasibleProblemError, ProtocolError) as exc:
+    except _USAGE_ERRORS as exc:
         # A size the workload cannot run (n <= 4, odd n for Algorithm
         # 6, several sizes for a one-size report) is a usage error.
         args.parser.error(str(exc))
@@ -396,8 +393,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
-    from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND
-
     parser.add_argument(
         "--backend", default=DEFAULT_BACKEND, choices=list(BACKEND_NAMES),
         help="kinematics backend for the simulation",
@@ -454,7 +449,6 @@ def _parse_faults(args: argparse.Namespace):
                 spec = fh.read()
         except OSError as exc:
             args.parser.error(f"--faults: cannot read {path}: {exc}")
-    from repro.exceptions import ConfigurationError
     from repro.faults.plan import FaultPlan
 
     try:
@@ -514,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--sizes", default="8,16")
     sw.add_argument("--seeds", default="0,1,2,3")
     sw.add_argument("--models", default="perceptive")
-    sw.add_argument("--backends", default="lattice")
+    sw.add_argument("--backends", default=DEFAULT_BACKEND)
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument(
         "--executor", default="process",

@@ -48,6 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.api.registry import DEFAULT_DRIVER
 from repro.exceptions import ConfigurationError, ReproError
 from repro.faults.plan import FaultPlan
+from repro.ring.backends import DEFAULT_BACKEND
 from repro.types import Model
 
 #: Schema version of the RunReport JSON payload.
@@ -61,15 +62,15 @@ class SessionSpec:
     """One session of a fleet, as plain (picklable, JSON-able) data.
 
     Mirrors the :class:`~repro.api.session.RingSession` builder
-    arguments; ``protocol`` names a registry entry and ``backend`` any
-    registered kinematics backend (``lattice``, ``fraction`` or
+    arguments; ``protocol`` names a registry entry and ``backend`` one
+    of :data:`~repro.ring.backends.BACKEND_NAMES` (``fraction`` or
     ``array``).
     """
 
     n: int
     protocol: str = "location-discovery"
     model: str = "basic"
-    backend: str = "lattice"
+    backend: str = DEFAULT_BACKEND
     seed: int = 0
     common_sense: bool = False
     id_bound: Optional[int] = None
@@ -406,7 +407,7 @@ def sweep(
     sizes: Iterable[int] = (8,),
     seeds: Iterable[int] = (0,),
     models: Iterable[Union[Model, str]] = (Model.PERCEPTIVE,),
-    backends: Iterable[str] = ("lattice",),
+    backends: Iterable[str] = (DEFAULT_BACKEND,),
     common_sense: bool = False,
     id_bound: Optional[int] = None,
     config: str = "random",

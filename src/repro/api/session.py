@@ -3,14 +3,14 @@
 A session bundles a world state, a scheduler (with its kinematics
 backend) and the protocol registry behind a single builder::
 
-    session = RingSession(n=16, model="perceptive", backend="lattice",
+    session = RingSession(n=16, model="perceptive", backend="array",
                           seed=7)
     result = session.run("location-discovery")
 
-``backend=`` accepts ``"lattice"`` (default), ``"fraction"`` (exact
-reference) or ``"array"`` (whole-column fused stretches for large
-rings; numpy-accelerated when numpy is installed) -- results are
-bit-identical across all three for both drivers.
+``backend=`` accepts ``"array"`` (default: integer rounds plus
+whole-column fused stretches, numpy-accelerated when numpy is
+installed) or ``"fraction"`` (the exact executable spec) -- results
+are bit-identical across both for both drivers.
 
 Sessions can also wrap existing objects (:meth:`RingSession.from_state`,
 :meth:`RingSession.from_scheduler`), plan a protocol without running it

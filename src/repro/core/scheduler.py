@@ -32,9 +32,8 @@ scheduler executes the span through the backend in a single call
 history row per round -- agent logs materialise observations only when
 read -- and notifies the policy once via ``observe_stretch``.
 ``run_fixed`` routes through the same path on stretch-capable
-backends.  Backend selection
-(``backend="lattice"|"fraction"|"array"``) threads through to
-:class:`~repro.ring.simulator.RingSimulator`.
+backends.  Backend selection (``backend="array"|"fraction"``) threads
+through to :class:`~repro.ring.simulator.RingSimulator`.
 
 Speculative stretches: data-dependent phases (the location-discovery
 sweeps, the Convolution/Pivot schedule) plan a

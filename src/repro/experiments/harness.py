@@ -15,6 +15,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.ring.backends import (
+    ArrayBackend,
+    FractionBackend,
+    KinematicsBackend,
+    LatticeBackend,
+)
 
 
 @dataclass
@@ -162,10 +168,11 @@ def write_report(report: Report, path: Union[str, "os.PathLike[str]"]) -> None:
 @dataclass(frozen=True)
 class Contender:
     """One labelled setting of a shootout workload: the kinematics
-    backend, the phase driver and the equation engine it runs under."""
+    backend class (each run builds one instance), the phase driver and
+    the equation engine it runs under."""
 
     label: str
-    backend: str = "lattice"
+    backend: Callable[[], KinematicsBackend]
     driver: str = "native"
     engine: Optional[str] = None
 
@@ -268,10 +275,12 @@ def _one_size(
     return sizes[0]
 
 
-_FRACTION = Contender("fraction", backend="fraction")
-_LATTICE = Contender("lattice")
-_ARRAY = Contender("array", backend="array")
-_CALLBACK = Contender("callback", driver="callback")
+_FRACTION = Contender("fraction", FractionBackend)
+#: The scalar integer baseline: array's base class, without the fused
+#: stretches (not a user-facing backend).
+_LATTICE = Contender("lattice", LatticeBackend)
+_ARRAY = Contender("array", ArrayBackend)
+_CALLBACK = Contender("callback", LatticeBackend, driver="callback")
 
 #: Length of the simulator shootout's direction sequence.
 _SIMULATOR_ROUNDS = 256
@@ -283,7 +292,7 @@ def _simulator_workload(
     """A deterministic perceptive-model round sequence executed straight
     on the kinematics backend.  Roughly half the rounds repeat the
     previous direction vector (protocols run long homogeneous
-    probe/restore stretches, which exercises the lattice backend's
+    probe/restore stretches, which exercises the integer backend's
     memoised pattern tables) and half draw fresh per-agent directions
     (exercising the derivation path).  The fingerprint is every round's
     outcome -- observations, rotation index, collision-event count --
@@ -301,7 +310,7 @@ def _simulator_workload(
         else:
             sequence.append(sequence[-1])
     state = random_configuration(n, seed=_SEED, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend())
     sim = sched.simulator
     outcomes = []
     start = time.perf_counter()
@@ -315,8 +324,9 @@ def _simulator_workload(
 
 
 def _simulator(sizes: Optional[Sequence[int]] = None) -> Report:
-    """Lattice vs Fraction kinematics on the direction sequence of
-    :func:`_simulator_workload` at one ring size (default 64 agents).
+    """Scalar integer (:class:`LatticeBackend`) vs Fraction kinematics on
+    the direction sequence of :func:`_simulator_workload` at one ring
+    size (default 64 agents).
 
     Returns the ``BENCH_simulator.json`` payload.
     """
@@ -371,7 +381,7 @@ def _flood_workload(
         from repro.protocols.rotation_probe import ri_is_zero
 
     state = random_configuration(n, seed=_SEED, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=contender.backend())
     ids = sched.population.ids
     width = id_bits(sched.population.id_bound)
     start = time.perf_counter()
@@ -403,12 +413,12 @@ def _flood_workload(
 def _policies(sizes: Optional[Sequence[int]] = None) -> Report:
     """Native whole-population phase drivers vs the legacy per-agent
     callback drivers on :func:`_flood_workload` (neighbor discovery +
-    relay flood, lattice backend; default n = 64, 256, 1024).
+    relay flood, scalar ``LatticeBackend``; default n = 64, 256, 1024).
 
     Returns the ``BENCH_policies.json`` payload.
     """
     return Pairwise(
-        _flood_workload, (_CALLBACK, Contender("native")),
+        _flood_workload, (_CALLBACK, Contender("native", LatticeBackend)),
         sizes=(64, 256, 1024), repeats=3,
     ).sweep_report(
         "policy_shootout", sizes,
@@ -419,11 +429,11 @@ def _policies(sizes: Optional[Sequence[int]] = None) -> Report:
 
 
 def _array(sizes: Optional[Sequence[int]] = None) -> Report:
-    """The array backend's fused stretches vs the lattice backend on
-    large rings: :func:`_flood_workload` with 6 rotation probes and a
-    2-hop flood, native drivers (default n = 1024, 4096, 16384), checked
-    against the exact Fraction backend at the smallest size
-    (``fraction_checked_at``).
+    """The array backend's fused stretches vs its scalar base class
+    (:class:`LatticeBackend`) on large rings: :func:`_flood_workload`
+    with 6 rotation probes and a 2-hop flood, native drivers (default
+    n = 1024, 4096, 16384), checked against the exact Fraction backend
+    at the smallest size (``fraction_checked_at``).
 
     Returns the ``BENCH_array.json`` payload.
     """
@@ -533,7 +543,7 @@ def _ld_workload(
     fingerprint = [] if collect else None
     for run_phase, size, model, labels in phases:
         state = random_configuration(size, seed=_SEED, common_sense=False)
-        sched = Scheduler(state, model, backend=contender.backend)
+        sched = Scheduler(state, model, backend=contender.backend())
         _speculative_preset(sched, leader=not labels, labels=labels)
         start = time.perf_counter()
         run_phase(sched, **options)
@@ -559,8 +569,8 @@ _SPECULATIVE_DISTANCES_N = 48
 
 
 def _speculative(sizes: Optional[Sequence[int]] = None) -> Report:
-    """The array backend's speculative fused stretches vs the lattice
-    backend on the data-dependent phases: :func:`_ld_workload` with
+    """The array backend's speculative fused stretches vs its scalar
+    base class on the data-dependent phases: :func:`_ld_workload` with
     Algorithm 6 at n = 48 (default n = 256, 1024), checked against the
     callback drivers and the exact Fraction backend at the smallest
     size (``callback_checked_at`` / ``fraction_checked_at``).
@@ -595,8 +605,8 @@ def _equations(sizes: Optional[Sequence[int]] = None) -> Report:
     Returns the ``BENCH_equations.json`` payload.
     """
     engines = (
-        Contender("fraction", backend="array", engine="fraction"),
-        Contender("int", backend="array", engine="int"),
+        Contender("fraction", ArrayBackend, engine="fraction"),
+        Contender("int", ArrayBackend, engine="int"),
     )
     distances = Pairwise(partial(_ld_workload, sweeps=False), engines,
                          sizes=(24, 48, 96), repeats=2)
@@ -646,7 +656,7 @@ def _best_seconds(
 def _fleet_specs(n: int, sessions: int, **variant: object) -> list:
     """The fleet and cache shootouts' specs: ``sessions`` perceptive
     location-discovery rings of size ``n`` with seeds 0, 1, ...;
-    ``variant`` picks the backends and the driver."""
+    ``variant`` overrides the default backend and driver."""
     from repro.api.fleet import sweep
 
     return sweep(
@@ -692,7 +702,7 @@ def _fleet(sizes: Optional[Sequence[int]] = None) -> Report:
 
     n = _one_size("fleet", sizes, (24,))
     sessions, repeats = 16, 3
-    specs = _fleet_specs(n, sessions, backends=("lattice",))
+    specs = _fleet_specs(n, sessions)
     reference: List[object] = []
 
     def same_payloads(report) -> None:
@@ -749,7 +759,7 @@ def _fleet(sizes: Optional[Sequence[int]] = None) -> Report:
 def _cache(sizes: Optional[Sequence[int]] = None) -> Report:
     """Run-store warm fetches and sweep dedup against recompute.
 
-    Two measurements over location-discovery sweeps on the lattice
+    Two measurements over location-discovery sweeps on the default
     backend (ring size from ``sizes``, default 16; every store
     interaction through the public Fleet path):
 
@@ -780,7 +790,7 @@ def _cache(sizes: Optional[Sequence[int]] = None) -> Report:
 
     n = _one_size("cache", sizes, (16,))
     sessions, dupes, repeats = 8, 4, 3
-    specs = _fleet_specs(n, sessions, backends=("lattice",))
+    specs = _fleet_specs(n, sessions)
     variant_specs = _fleet_specs(
         n, sessions, backends=("fraction",), driver="callback"
     )
@@ -875,7 +885,7 @@ def _cache(sizes: Optional[Sequence[int]] = None) -> Report:
             "dupes": dupes,
             "model": "perceptive",
             "protocol": "location-discovery",
-            "backend": "lattice",
+            "backend": specs[0].backend,
             "variant_backend": "fraction",
             "variant_driver": "callback",
             "seed": 0,

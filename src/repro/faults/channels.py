@@ -21,11 +21,10 @@ LEFT, then the reversed round restores every position (Lemma 1: a
 round's entire effect is a rotation, so the reverse round undoes it).
 Slots therefore cost real rounds, collide through the real collision
 engine, and are subject to an active fault plan like any other round.
-Runs of slots with no transmitter are fused into one
-:class:`~repro.ring.stretch.SpeculativeStretch` -- the optimistic span
-is a constant lookahead of listen pairs and the stop predicate cuts it
-at the (data-dependent) next transmission slot, so idle stretches stay
-on the backend's fused fast path.
+Runs of slots with no transmitter are fused into plain
+:class:`~repro.ring.stretch.Stretch` spans of listen pairs: the MAC
+state fixes a quiet gap's length before it runs, so idle stretches stay
+on the backend's fused fast path (and repeat as memo hits on array).
 
 Channel *adjudication* is an explicit oracle abstraction: who-spoke is
 decided from the transmitter set the MAC layer drew (as IC3Net's
@@ -49,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.scheduler import Scheduler
 from repro.exceptions import ProtocolError
 from repro.protocols.base import ContentionResult
-from repro.ring.stretch import SpeculativeStretch, Stretch
+from repro.ring.stretch import Stretch
 from repro.types import LocalDirection
 
 # Per-agent memory keys: the agent-visible mirror of the channel state.
@@ -72,7 +71,7 @@ ALOHA_TX_ODDS = 2
 ALOHA_LOSS_ODDS = 10
 ALOHA_CAPTURE_ODDS = 4
 
-#: Idle slots fused per speculative span (the optimistic upper bound).
+#: Most idle slots fused into one span (and ALOHA's pre-draw horizon).
 IDLE_LOOKAHEAD = 8
 
 
@@ -95,11 +94,6 @@ def channel_seed(n: int, ids: Sequence[int], id_bound: int) -> int:
     return int(hashlib.sha256(payload.encode("ascii")).hexdigest()[:16], 16)
 
 
-def _listen_rows(n: int) -> Tuple[List[LocalDirection], List[LocalDirection]]:
-    """The idle-slot probe row (everyone listens) and its reverse."""
-    return [LocalDirection.LEFT] * n, [LocalDirection.RIGHT] * n
-
-
 def _run_transmission_slot(sched: Scheduler, n: int,
                            transmitters: Set[int]) -> None:
     """One physical channel slot: probe round + restoring reverse."""
@@ -111,26 +105,18 @@ def _run_transmission_slot(sched: Scheduler, n: int,
 
 
 def _run_idle_slots(sched: Scheduler, n: int, delta: int) -> None:
-    """Fuse ``delta`` idle slots (2*delta listen rounds) into one span.
+    """Run ``delta`` idle slots (2*delta listen rounds) as fused spans.
 
-    The plan is the constant :data:`IDLE_LOOKAHEAD` upper bound of
-    alternating listen pairs (every even prefix is position-restoring);
-    the stop predicate commits exactly the ``delta`` pairs the MAC
-    state calls for, so the data-dependent length stays on the fused
-    fast path.
+    Everyone listens (local LEFT), then the reverse round restores.
+    The first :data:`IDLE_LOOKAHEAD` slots alternate listen and reverse
+    rounds; any longer gap continues in blocks of up to that many
+    listen rounds and as many reverse rounds.  ``delta`` is known
+    before the call, so every span is a plain stretch.
     """
-    listen, reverse = _listen_rows(n)
+    listen = [LocalDirection.LEFT] * n
+    reverse = [LocalDirection.RIGHT] * n
     span = min(delta, IDLE_LOOKAHEAD)
-    pairs: List[Tuple[List[LocalDirection], int]] = []
-    for _ in range(IDLE_LOOKAHEAD):
-        pairs.append((listen, 1))
-        pairs.append((reverse, 1))
-    cut = 2 * span - 1
-
-    def stop(result: object, j: int) -> bool:
-        return j >= cut
-
-    sched.run_stretch(SpeculativeStretch(pairs=pairs, stop=stop))
+    sched.run_stretch(Stretch(pairs=[(listen, 1), (reverse, 1)] * span))
     remaining = delta - span
     while remaining > 0:
         chunk = min(remaining, IDLE_LOOKAHEAD)

@@ -1,11 +1,11 @@
 """The bouncing-agent ring world: state, kinematics, exact simulation.
 
 Round arithmetic is pluggable (see :mod:`repro.ring.backends`): the
-``lattice`` backend runs each round in integer arithmetic over one
-shared denominator, the ``fraction`` backend is the exact-rational
-reference, and the ``array`` backend adds whole-column fused-stretch
-execution for large rings (numpy when available, stdlib ``array``
-otherwise); all three produce bit-identical outcomes.
+``fraction`` backend is the exact-rational reference, and the ``array``
+backend (the default) runs each round in integer arithmetic over one
+shared denominator and whole fused stretches as columns (numpy when
+available, stdlib ``array`` otherwise); the two produce bit-identical
+outcomes.
 """
 
 from repro.ring.state import RingState
@@ -28,7 +28,6 @@ from repro.ring.backends import (
     DEFAULT_BACKEND,
     FractionBackend,
     KinematicsBackend,
-    LatticeBackend,
     make_backend,
 )
 from repro.ring.stretch import MaterialisedStretch, Stretch
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KinematicsBackend",
     "FractionBackend",
-    "LatticeBackend",
     "MaterialisedStretch",
     "Stretch",
     "make_backend",

@@ -1,4 +1,4 @@
-"""Pluggable kinematics backends: exact Fractions vs. integer lattice.
+"""Pluggable kinematics backends: exact Fractions vs. integer columns.
 
 A *kinematics backend* owns the arithmetic of round execution.  Given a
 :class:`~repro.ring.state.RingState` and the objective velocities of
@@ -6,55 +6,50 @@ one round it produces the full :class:`~repro.types.RoundOutcome`
 (per-agent ``dist()``/``coll()`` observations, the rotation index, the
 collision-event count) and commits the post-round positions back to the
 state.  :class:`~repro.ring.simulator.RingSimulator` delegates every
-round to its backend, so the two implementations are interchangeable
-and property-tested to produce bit-identical outcomes:
+round to its backend, and the two user-facing backends are
+property-tested to produce bit-identical outcomes:
 
-* :class:`FractionBackend` -- the reference implementation.  All
-  positions, gaps and collision arcs are :class:`fractions.Fraction`
-  values; every addition pays a gcd.  Kept both as the semantics anchor
-  and for states whose positions would induce an awkwardly large
-  common denominator.
+* :class:`FractionBackend` (``"fraction"``) -- the executable spec.
+  All positions, gaps and collision arcs are
+  :class:`fractions.Fraction` values; every addition pays a gcd.  Kept
+  both as the semantics anchor and for states whose positions would
+  induce an awkwardly large common denominator.
 
-* :class:`ArrayBackend` -- the whole-column implementation for large
-  rings (n >= 10^4): a :class:`LatticeBackend` whose positions, gaps
-  and per-rotation displacement rows additionally live in numpy int64
-  arrays (stdlib :mod:`array` buffers when numpy is absent -- see
-  :mod:`repro.ring.arrayops`).  Single rounds run on the inherited
-  integer path unchanged; its :meth:`ArrayBackend.execute_stretch`
-  advances a whole *fused stretch* (probe/restore pairs, bit-exchange
-  frames, ``run_fixed`` batches -- see :mod:`repro.ring.stretch`) in
-  one closed-form vectorised step, emitting observation *columns* that
-  materialise per-agent ``Observation`` objects only when read, and
-  committing positions lazily (``state.positions`` is built only on an
-  external read).  Whole stretches are memoised by (velocity rows,
-  rotation offset), so repeating probe/restore loops collapse to one
-  dictionary hit.
+* :class:`ArrayBackend` (``"array"``, the default) -- single rounds
+  in integer arithmetic on the scalar path it inherits from
+  :class:`LatticeBackend`, plus whole *fused stretches* (probe/restore
+  pairs, bit-exchange frames, ``run_fixed`` batches -- see
+  :mod:`repro.ring.stretch`) advanced in one closed-form step over
+  numpy int64 columns (stdlib :mod:`array` buffers when numpy is
+  absent -- see :mod:`repro.ring.arrayops`) and memoised by (velocity
+  rows, rotation offset).
 
-* :class:`LatticeBackend` -- the performance implementation.  At
-  attach time it rescales all positions to integers over the single
-  common denominator ``D`` (the lcm of the position denominators).
-  Velocities are in {-1, 0, +1} and rounds last one unit, so every
-  reachable end-of-round position stays on the lattice ``Z/D`` forever
-  (Lemma 1: rounds merely rotate the position multiset), and every
-  collision time/place within a round lands on ``Z/(2D)`` (token
-  crossings meet at half-gaps).  The backend therefore tracks one
-  shared scale integer instead of per-value gcds, and each round is
-  pure integer arithmetic:
+:class:`LatticeBackend` is array's scalar base class, not a
+user-facing choice (:func:`make_backend` does not resolve it by name);
+the shootouts time it as the scalar integer baseline.  At attach time
+it rescales all positions to integers over the single common
+denominator ``D`` (the lcm of the position denominators).  Velocities
+are in {-1, 0, +1} and rounds last one unit, so every reachable
+end-of-round position stays on the lattice ``Z/D`` forever (Lemma 1:
+rounds merely rotate the position multiset), and every collision
+time/place within a round lands on ``Z/(2D)`` (token crossings meet at
+half-gaps).  The scalar path therefore tracks one shared scale integer
+instead of per-value gcds, and each round is pure integer arithmetic:
 
-  - positions are never rebuilt: a single rotation ``offset`` into the
-    frozen base arrays replaces per-round list rebuilds, and the
-    committed position list reuses the original ``Fraction`` objects;
-  - gap and prefix-sum arrays over the base slots are computed once at
-    attach and never again (the gap *sequence* only rotates);
-  - per-velocity-pattern derivations (rotation index, nearest-opposite
-    hop counts) and per-rotation displacement arcs are memoised, so
-    batched execution of repeating rounds does no re-derivation;
-  - ``Fraction`` and :class:`~repro.types.Observation` objects are
-    interned by integer numerator, so repeated observations cost one
-    dictionary lookup instead of a gcd plus two allocations;
-  - when the event engine is needed (cross-validation, or lazy rounds
-    under a collision-reporting model) it runs in integer tick space
-    (:func:`~repro.ring.collisions.simulate_collisions_ticks`).
+- positions are never rebuilt: a single rotation ``offset`` into the
+  frozen base arrays replaces per-round list rebuilds, and the
+  committed position list reuses the original ``Fraction`` objects;
+- gap and prefix-sum arrays over the base slots are computed once at
+  attach and never again (the gap *sequence* only rotates);
+- per-velocity-pattern derivations (rotation index, nearest-opposite
+  hop counts) and per-rotation displacement arcs are memoised, so
+  batched execution of repeating rounds does no re-derivation;
+- ``Fraction`` and :class:`~repro.types.Observation` objects are
+  interned by integer numerator, so repeated observations cost one
+  dictionary lookup instead of a gcd plus two allocations;
+- when the event engine is needed (cross-validation, or lazy rounds
+  under a collision-reporting model) it runs in integer tick space
+  (:func:`~repro.ring.collisions.simulate_collisions_ticks`).
 
 Backends hold derived state, so they detect external position writes
 (``restore()``, manual assignment) through ``RingState.version`` and
@@ -83,11 +78,11 @@ from repro.ring.state import RingState
 from repro.types import Chirality, Observation, RoundOutcome
 
 #: Backend used when none is requested explicitly.
-DEFAULT_BACKEND = "lattice"
+DEFAULT_BACKEND = "array"
 
 #: Names :func:`make_backend` recognises (the CLI choices derive from
 #: this -- extend it when registering a new backend).
-BACKEND_NAMES = ("lattice", "fraction", "array")
+BACKEND_NAMES = ("fraction", "array")
 
 BackendSpec = Union[None, str, "KinematicsBackend"]
 
@@ -151,15 +146,12 @@ class KinematicsBackend(ABC):
 def make_backend(spec: BackendSpec) -> "KinematicsBackend":
     """Resolve a backend spec: an instance, a name, or None (default).
 
-    Recognised names: ``"lattice"`` (default), ``"fraction"`` and
-    ``"array"``.
+    Recognised names: ``"fraction"`` and ``"array"`` (default).
     """
     if isinstance(spec, KinematicsBackend):
         return spec
     if spec is None:
         spec = DEFAULT_BACKEND
-    if spec == "lattice":
-        return LatticeBackend()
     if spec == "fraction":
         return FractionBackend()
     if spec == "array":
@@ -236,9 +228,11 @@ class FractionBackend(KinematicsBackend):
 
 
 class LatticeBackend(KinematicsBackend):
-    """Integer-lattice backend: one shared denominator, int arithmetic.
+    """Integer-lattice rounds: one shared denominator, int arithmetic.
 
-    See the module docstring for the representation.  All arcs are
+    :class:`ArrayBackend`'s scalar base class and the shootouts' scalar
+    baseline; not resolvable by name.  See the module docstring for the
+    representation.  All arcs are
     integer numerators over the shared scale ``D`` (positions, dists)
     or ``2D`` (first-collision arcs); the event engine runs on a
     ``1/(4D)`` tick grid so that tentative heap entries stay integral.
@@ -753,7 +747,7 @@ class ArrayBackend(LatticeBackend):
     - per-round rotation indices come from whole-row counts, offsets
       accumulate, and each round's agent-frame ``dist()`` numerators
       are one doubled-prefix gather (``p2[s + r] - p2[s]``) -- the
-      rotation-offset trick of the lattice backend, applied to columns;
+      rotation-offset trick of :class:`LatticeBackend`, applied to columns;
     - closed-form first-collision numerators come from the vectorised
       nearest-opposite-hop derivation (suffix-min/prefix-max on the
       doubled ring), memoised per velocity row;

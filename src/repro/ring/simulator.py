@@ -13,15 +13,15 @@ agents.  Given each agent's *local* direction choice it:
 4. returns per-agent :class:`~repro.types.Observation` values expressed
    in each agent's own frame (the backend commits the world state).
 
-Backend selection: pass ``backend="lattice"`` (default, integer
-arithmetic over one shared denominator) or ``backend="fraction"``
-(reference exact-rational implementation), or a ready
-:class:`~repro.ring.backends.KinematicsBackend` instance.  The two are
-property-tested to produce bit-identical outcomes.
+Backend selection: pass ``backend="array"`` (default, integer
+arithmetic over one shared denominator plus fused stretches) or
+``backend="fraction"`` (reference exact-rational implementation), or a
+ready :class:`~repro.ring.backends.KinematicsBackend` instance.  The
+two are property-tested to produce bit-identical outcomes.
 
 Batched execution: :meth:`execute_batch` runs ``k`` rounds with a fixed
 direction vector, validating the model rules and mapping chiralities
-once instead of per round; the lattice backend's memoised
+once instead of per round; the integer backends' memoised
 velocity-pattern tables make each subsequent round pure table lookups.
 """
 

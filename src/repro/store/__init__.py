@@ -14,7 +14,7 @@ This package is that dictionary:
   unchecked, and the registry's phase plan).  Backend, driver and
   executor are deliberately excluded: results are property-tested
   bit-identical across all of them, which is what lets a
-  lattice-computed report serve an array request.
+  fraction-computed report serve an array request.
 
 * :mod:`repro.store.store` -- :class:`~repro.store.store.RunStore`, a
   two-tier store: an in-process LRU dict in front of an on-disk

@@ -6,8 +6,8 @@ common sense of direction, unchecked mode, and the phase plan the
 registry routes that setting to.  Backend, driver, executor kind and
 worker count are deliberately **excluded** from the key: results are
 property-tested bit-identical across every combination of them, so
-excluding them is what lets a report computed once on the lattice
-backend serve later array, fraction, callback and pooled requests.
+excluding them is what lets a report computed once on the array
+backend serve later fraction, callback and pooled requests.
 
 The key document is serialised as canonical JSON -- sorted keys,
 compact separators, ASCII only -- and hashed with SHA-256.  The exact

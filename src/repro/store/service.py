@@ -18,10 +18,13 @@ arrives, never which answer.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.api.fleet import SessionSpec, run_session_spec
+from repro.exceptions import ReproError
+from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.store.keys import safe_key
 from repro.store.store import RunStore, default_cache_dir
 
@@ -102,7 +105,11 @@ def verify_entry(store: RunStore, digest: str) -> Dict[str, object]:
 
     Reruns the envelope's recorded producing spec through the normal
     session path and asserts the fresh result equals the stored one.
-    Returns a JSON-ready row: ``{"digest", "ok", "detail"}``.
+    A recorded backend that is no longer offered (entries written when
+    ``lattice`` was a choice) recomputes on the default backend: run
+    keys exclude the backend, so the stored result must still match.
+    A spec that cannot run is a not-ok row naming the error.  Returns
+    a JSON-ready row: ``{"digest", "ok", "detail"}``.
     """
     envelope = store.load_entry(digest)
     if envelope is None:
@@ -117,7 +124,15 @@ def verify_entry(store: RunStore, digest: str) -> Dict[str, object]:
             "digest": digest, "ok": False,
             "detail": "envelope spec does not round-trip",
         }
-    fresh = run_session_spec(spec)["result"]
+    if spec.backend not in BACKEND_NAMES:
+        spec = replace(spec, backend=DEFAULT_BACKEND)
+    try:
+        fresh = run_session_spec(spec)["result"]
+    except (ReproError, ValueError) as exc:
+        return {
+            "digest": digest, "ok": False,
+            "detail": f"recompute failed: {type(exc).__name__}: {exc}",
+        }
     if fresh != envelope["result"]:
         return {
             "digest": digest, "ok": False,

@@ -22,7 +22,6 @@ SPECS = sweep(
     sizes=(7, 8),
     seeds=(0, 1),
     models=("perceptive",),
-    backends=("lattice",),
 )
 
 
@@ -44,12 +43,16 @@ class TestSweepBuilder:
     def test_cartesian_product(self):
         specs = sweep(
             sizes=(8, 16), seeds=(0, 1, 2),
-            models=(Model.LAZY, "perceptive"), backends=("lattice",),
+            models=(Model.LAZY, "perceptive"), backends=("array",),
         )
         assert len(specs) == 2 * 3 * 2
         # sizes-major ordering keeps reports diffable
         assert [s.n for s in specs[:6]] == [8] * 6
         assert {s.model for s in specs} == {"lazy", "perceptive"}
+
+    def test_default_backend_is_array(self):
+        (spec,) = sweep(sizes=(8,))
+        assert spec.backend == SessionSpec(n=8).backend == "array"
 
     def test_model_enum_coerced_to_value(self):
         (spec,) = sweep(sizes=(8,), models=(Model.PERCEPTIVE,))

@@ -49,7 +49,7 @@ def _drive(n, seed, model, backend, make_policy):
 
 class TestPolicyEquivalence:
     @pytest.mark.parametrize("model", list(Model))
-    @pytest.mark.parametrize("backend", ["lattice", "fraction"])
+    @pytest.mark.parametrize("backend", ["array", "fraction"])
     @pytest.mark.parametrize("n,seed", [(7, 0), (8, 1), (11, 5)])
     def test_per_agent_policy_bit_exact(self, model, backend, n, seed):
         legacy = _drive(n, seed, model, backend, lambda fn: fn)
@@ -58,17 +58,17 @@ class TestPolicyEquivalence:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_function_policy_bit_exact(self, model):
-        legacy = _drive(9, 3, model, "lattice", lambda fn: fn)
+        legacy = _drive(9, 3, model, "array", lambda fn: fn)
         vectorised = _drive(
-            9, 3, model, "lattice",
+            9, 3, model, "array",
             lambda fn: FunctionPolicy(lambda views: [fn(v) for v in views]),
         )
         assert legacy == vectorised
 
     def test_cross_backend_policy_agreement(self):
-        lattice = _drive(8, 2, Model.PERCEPTIVE, "lattice", PerAgentPolicy)
+        array = _drive(8, 2, Model.PERCEPTIVE, "array", PerAgentPolicy)
         fraction = _drive(8, 2, Model.PERCEPTIVE, "fraction", PerAgentPolicy)
-        assert lattice == fraction
+        assert array == fraction
 
     def test_fixed_policy_matches_run_fixed(self):
         state_a = random_configuration(8, seed=4, common_sense=False)

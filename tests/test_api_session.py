@@ -12,7 +12,12 @@ from repro import (
     list_protocols,
     random_configuration,
 )
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import (
+    ConfigurationError,
+    ProtocolError,
+    SimulationError,
+)
+from repro.ring.backends import LatticeBackend
 
 
 class TestRegistry:
@@ -119,6 +124,28 @@ class TestRingSession:
     def test_model_accepts_strings(self):
         session = RingSession(n=7, model="lazy", seed=0)
         assert session.model is Model.LAZY
+
+    def test_default_backend_is_array(self):
+        session = RingSession(n=8, seed=1)
+        assert session.backend_name == "array"
+        assert session._cache_args["backend"] == "array"
+
+    def test_lattice_is_not_a_backend_name(self):
+        with pytest.raises(SimulationError, match="unknown kinematics"):
+            RingSession(n=8, seed=1, backend="lattice")
+
+    def test_backend_instance_runs_but_is_never_cached(self):
+        # Array's scalar base class is reachable as an instance only,
+        # like any unregistered backend object: it computes, bit-exact,
+        # and never keys into the run store.
+        scalar = RingSession(n=8, seed=1, backend=LatticeBackend())
+        assert scalar.backend_name == "lattice"
+        assert scalar._cache_args is None
+        default = RingSession(n=8, seed=1)
+        assert (
+            scalar.run("coordination").to_dict()
+            == default.run("coordination").to_dict()
+        )
 
     def test_common_sense_builder_threads_into_plan(self):
         session = RingSession(n=8, model="lazy", seed=2, common_sense=True)

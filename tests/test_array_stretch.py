@@ -5,8 +5,8 @@ Three guarantees are pinned here:
 
 * **Equivalence** -- registry protocols run unchanged (same rounds,
   positions, logs, final memory) under ``backend="array"`` for both the
-  native and the callback driver, against the lattice and Fraction
-  backends.
+  native and the callback driver, against the Fraction backend and
+  array's own scalar base class.
 * **Laziness** -- a fused span commits positions as a pending thunk
   (built only on an external read) and files its observation rows
   without materialising per-agent objects until something reads them.
@@ -24,6 +24,7 @@ from repro.core.scheduler import Scheduler
 from repro.protocols.policies.base import PhasePolicy
 from repro.protocols.policies.bitcomm import relay_flood
 from repro.protocols.policies.neighbor_discovery import discover_neighbors
+from repro.ring.backends import LatticeBackend
 from repro.ring.configs import random_configuration
 from repro.ring.simulator import RingSimulator
 from repro.types import LocalDirection, Model
@@ -58,13 +59,12 @@ class TestRegistryEquivalenceOnArray:
         self, protocol, model, n, driver
     ):
         fingerprints = {}
-        for backend in ("lattice", "array", "fraction"):
+        for backend in ("array", "fraction"):
             session = RingSession(
                 n=n, model=model, backend=backend, seed=7, driver=driver,
             )
             result = session.run(protocol)
             fingerprints[backend] = session_fingerprint(session, result)
-        assert fingerprints["array"] == fingerprints["lattice"]
         assert fingerprints["array"] == fingerprints["fraction"]
 
     def test_cross_validated_array_session(self):
@@ -101,7 +101,9 @@ class TestStretchPlans:
     def test_run_fixed_stretch_matches_lattice_loop(self):
         make_state = lambda: random_configuration(9, seed=12)
         sched_a = Scheduler(make_state(), Model.PERCEPTIVE, backend="array")
-        sched_l = Scheduler(make_state(), Model.PERCEPTIVE, backend="lattice")
+        sched_l = Scheduler(
+            make_state(), Model.PERCEPTIVE, backend=LatticeBackend()
+        )
         last_a = sched_a.run_fixed(R, k=6)
         last_l = sched_l.run_fixed(R, k=6)
         assert last_a == last_l
@@ -137,7 +139,7 @@ class TestStretchPlans:
         assert seen == [2]
         assert sched.rounds == 2
 
-    @pytest.mark.parametrize("backend", ["lattice", "array"])
+    @pytest.mark.parametrize("backend", ["fraction", "array"])
     def test_run_rounds_materialises_stretch_outcomes(self, backend):
         # run_rounds keeps its contract for stretch-planning policies:
         # one RoundOutcome per executed round, at least k of them.
@@ -216,7 +218,7 @@ class TestMultiPairSpans:
 class TestGuardRails:
     def test_oversized_denominator_declines_vectorised_plans(self):
         # A shared denominator past int64 range must push every layer
-        # back to the exact scalar paths, bit-exact with lattice.
+        # back to the exact scalar paths, bit-exact with the spec.
         from fractions import Fraction as F
 
         from repro.ring.configs import explicit_configuration
@@ -235,7 +237,7 @@ class TestGuardRails:
         sched = Scheduler(build(), Model.PERCEPTIVE, backend="array")
         assert sched.array_module is None  # not int64-fusable
         discover_neighbors(sched)
-        ref = Scheduler(build(), Model.PERCEPTIVE, backend="lattice")
+        ref = Scheduler(build(), Model.PERCEPTIVE, backend="fraction")
         discover_neighbors(ref)
         assert [dict(v.memory) for v in sched.views] == [
             dict(v.memory) for v in ref.views
@@ -344,7 +346,7 @@ class TestZeroPerRoundOverhead:
         # The fused plan on a scalar backend replays per round but
         # still never touches the per-agent memory adapters.
         state = random_configuration(16, seed=5, common_sense=False)
-        sched = Scheduler(state, Model.PERCEPTIVE, backend="lattice")
+        sched = Scheduler(state, Model.PERCEPTIVE, backend=LatticeBackend())
         discover_neighbors(sched)
         width = id_bits(sched.population.id_bound)
         counts = self._instrument(monkeypatch)
@@ -373,7 +375,7 @@ class TestCliBackendArray:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "array"
         assert main([
-            "run", "coordination", "--n", "8", "--backend", "lattice",
+            "run", "coordination", "--n", "8", "--backend", "fraction",
             "--json",
         ]) == 0
         ref = json.loads(capsys.readouterr().out)
@@ -383,3 +385,50 @@ class TestCliBackendArray:
         assert [
             (p["name"], p["rounds"]) for p in payload["phases"]
         ] == [(p["name"], p["rounds"]) for p in ref["phases"]]
+
+
+class TestContentionIdleSlots:
+    """Quiet channel gaps have a length the MAC state fixes before they
+    run, so they execute as plain fused stretches: never speculative,
+    and memoised by (rows, offset) on the array backend."""
+
+    @pytest.mark.parametrize("protocol,seed", [
+        ("contention-backoff", 7),
+        ("contention-aloha", 1),
+    ])
+    def test_idle_slots_are_plain_memoised_stretches(
+        self, monkeypatch, protocol, seed
+    ):
+        from repro.faults import channels
+        from repro.ring.backends import ArrayBackend
+
+        calls = {"gaps": 0, "stretch": 0, "computed": 0}
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def no_speculation(self, *args, **kwargs):
+            raise AssertionError("contention planned a speculative span")
+
+        count(channels, "_run_idle_slots", "gaps")
+        count(ArrayBackend, "execute_stretch", "stretch")
+        count(ArrayBackend, "_compute_span", "computed")
+        monkeypatch.setattr(
+            ArrayBackend, "execute_speculative", no_speculation
+        )
+        session = RingSession(n=16, model="basic", backend="array", seed=seed)
+        result = session.run(protocol)
+        assert calls["gaps"] > 0
+        # Every slot restores the ring, so repeated gaps and slots meet
+        # the same offset and hit the stretch memo.
+        assert calls["computed"] < calls["stretch"]
+        reference = RingSession(
+            n=16, model="basic", backend="fraction", seed=seed
+        ).run(protocol)
+        assert result.to_dict() == reference.to_dict()

@@ -1,5 +1,6 @@
-"""Backend equivalence: the integer-lattice and array backends must
-produce bit-identical results to the Fraction backend on every round.
+"""Backend equivalence: the array backend and its scalar integer base
+class (``LatticeBackend``) must produce bit-identical results to the
+Fraction backend on every round.
 
 This is the load-bearing guarantee of the backend layer: protocols test
 *equalities* between observed rationals, so the derived backends cannot
@@ -37,8 +38,16 @@ from repro.types import Chirality, LocalDirection, Model
 F = Fraction
 R, L, I = LocalDirection.RIGHT, LocalDirection.LEFT, LocalDirection.IDLE
 
-#: All derived backends, compared against the Fraction reference.
+#: All derived backends, compared against the Fraction reference:
+#: array and its scalar base class (``"lattice"``), which
+#: ``make_backend`` does not resolve by name.
 DERIVED_BACKENDS = ("lattice", "array")
+
+
+def backend_for(name):
+    """A backend spec for ``name``: a fresh :class:`LatticeBackend` for
+    array's scalar base class, else the registered name."""
+    return LatticeBackend() if name == "lattice" else name
 
 
 def equidistant_state(n=8, chiralities=None):
@@ -54,7 +63,9 @@ def paired_simulators(make_state, model, cross_validate=False,
                       backends=("fraction",) + DERIVED_BACKENDS):
     """Identical worlds, one per backend (reference first)."""
     return [
-        RingSimulator(make_state(), model, cross_validate, backend=backend)
+        RingSimulator(
+            make_state(), model, cross_validate, backend=backend_for(backend)
+        )
         for backend in backends
     ]
 
@@ -81,19 +92,27 @@ def assert_rounds_identical(sims, directions_seq):
 
 
 class TestMakeBackend:
-    def test_default_is_lattice(self):
-        assert DEFAULT_BACKEND == "lattice"
-        assert isinstance(make_backend(None), LatticeBackend)
+    def test_default_is_array(self):
+        assert DEFAULT_BACKEND == "array"
+        assert isinstance(make_backend(None), ArrayBackend)
 
     def test_by_name_and_instance(self):
         assert isinstance(make_backend("fraction"), FractionBackend)
-        assert isinstance(make_backend("lattice"), LatticeBackend)
         assert isinstance(make_backend("array"), ArrayBackend)
         inst = FractionBackend()
         assert make_backend(inst) is inst
 
     def test_registry_names(self):
-        assert set(BACKEND_NAMES) == {"lattice", "fraction", "array"}
+        assert set(BACKEND_NAMES) == {"fraction", "array"}
+        for name in BACKEND_NAMES:
+            assert make_backend(name).name == name
+
+    def test_lattice_is_not_a_name(self):
+        # Array's scalar base class stays available as a class only.
+        with pytest.raises(SimulationError, match="unknown kinematics"):
+            make_backend("lattice")
+        inst = LatticeBackend()
+        assert make_backend(inst) is inst
 
     def test_array_is_a_lattice_backend(self):
         # Single rounds run on the proven integer path; only fused
@@ -190,7 +209,9 @@ class TestSimultaneousContacts:
 class TestExternalWrites:
     def test_resyncs_after_restore(self, backend):
         state = random_configuration(7, seed=9, common_sense=True)
-        sim = RingSimulator(state, Model.PERCEPTIVE, backend=backend)
+        sim = RingSimulator(
+            state, Model.PERCEPTIVE, backend=backend_for(backend)
+        )
         snap = state.snapshot()
         sim.execute([R, L, R, L, R, L, R])
         state.restore(snap)
@@ -202,7 +223,7 @@ class TestExternalWrites:
 
     def test_resyncs_after_manual_assignment(self, backend):
         state = random_configuration(6, seed=2, common_sense=True)
-        sim = RingSimulator(state, Model.BASIC, backend=backend)
+        sim = RingSimulator(state, Model.BASIC, backend=backend_for(backend))
         sim.execute([R, L, R, L, R, L])
         state.positions = [F(i, 6) for i in range(6)]
         ref = RingSimulator(
@@ -222,7 +243,9 @@ class TestExternalWrites:
         from repro.ring.stretch import Stretch
 
         state = random_configuration(7, seed=9, common_sense=True)
-        sim = RingSimulator(state, Model.PERCEPTIVE, backend=backend)
+        sim = RingSimulator(
+            state, Model.PERCEPTIVE, backend=backend_for(backend)
+        )
         snap = state.snapshot()
         vec = [R, L, R, L, R, L, R]
         sim.execute_stretch(Stretch.probe_restore(vec))
@@ -243,7 +266,7 @@ class TestExternalWrites:
         state = random_configuration(8, seed=4)
         gaps_before = state.gaps()
         snap = state.snapshot()
-        sim = RingSimulator(state, Model.BASIC, backend=backend)
+        sim = RingSimulator(state, Model.BASIC, backend=backend_for(backend))
         rng = random.Random(7)
         for _ in range(5):
             dirs = [rng.choice((R, L)) for _ in range(8)]
@@ -304,7 +327,7 @@ class TestBatchedExecution:
         scheds = {}
         for backend in ("fraction",) + DERIVED_BACKENDS:
             sched = Scheduler(
-                make_state(), Model.PERCEPTIVE, backend=backend
+                make_state(), Model.PERCEPTIVE, backend=backend_for(backend)
             )
             outs[backend] = sched.run_fixed(L, k=7)
             scheds[backend] = sched
@@ -393,7 +416,7 @@ class TestNumpyAbsentFallback:
             from repro.api import RingSession
 
             results = {}
-            for backend in ("lattice", "array"):
+            for backend in ("fraction", "array"):
                 session = RingSession(
                     n=8, model="perceptive", backend=backend, seed=13,
                 )
@@ -404,7 +427,7 @@ class TestNumpyAbsentFallback:
                     [dict(v.memory) for v in session.views],
                     result.to_dict(),
                 )
-            assert results["lattice"] == results["array"]
+            assert results["fraction"] == results["array"]
         finally:
             monkeypatch.undo()
             arrayops.reset_numpy_cache()

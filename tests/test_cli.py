@@ -49,11 +49,16 @@ class TestCli:
     def test_run_backends_agree(self, capsys):
         args = ["run", "location-discovery", "--n", "7", "--model", "basic",
                 "--seed", "3", "--json"]
-        assert main(args + ["--backend", "lattice"]) == 0
-        lattice = json.loads(capsys.readouterr().out)
+        assert main(args + ["--backend", "array"]) == 0
+        array = json.loads(capsys.readouterr().out)
         assert main(args + ["--backend", "fraction"]) == 0
         fraction = json.loads(capsys.readouterr().out)
-        assert lattice["result"] == fraction["result"]
+        assert array["result"] == fraction["result"]
+
+    def test_run_defaults_to_array_backend(self, capsys):
+        assert main(["run", "coordination", "--n", "8", "--json",
+                     "--no-cache"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "array"
 
     def test_sweep_json_schema(self, capsys):
         assert main([
@@ -118,13 +123,13 @@ class TestCli:
     def test_backend_threads_through_table_commands(self, capsys):
         # Identical seeds must give identical tables on both backends.
         assert main(["table1", "--odd", "9", "--even", "8",
-                     "--backend", "lattice", "--json"]) == 0
-        lattice = json.loads(capsys.readouterr().out)
+                     "--backend", "array", "--json"]) == 0
+        array = json.loads(capsys.readouterr().out)
         assert main(["table1", "--odd", "9", "--even", "8",
                      "--backend", "fraction", "--json"]) == 0
         fraction = json.loads(capsys.readouterr().out)
-        assert lattice == fraction
-        assert len(lattice["rows"]) == 4
+        assert array == fraction
+        assert len(array["rows"]) == 4
 
     def test_backend_accepted_everywhere(self, capsys):
         assert main(["table2", "--odd", "9", "--even", "8",
@@ -187,6 +192,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "coordination", "--n", "8", "--backend", "lattice"],
+        ["sweep", "--backends", "lattice"],
+        ["sweep", "--backends", "array,lattice"],
+        ["demo", "--backend", "lattice"],
+        ["table1", "--backend", "lattice"],
+        ["table2", "--backend", "lattice"],
+        ["figures", "--backend", "lattice"],
+        ["lower-bounds", "--backend", "lattice"],
+    ], ids=["run", "sweep", "sweep-list", "demo", "table1", "table2",
+            "figures", "lower-bounds"])
+    def test_lattice_backend_is_a_usage_error(self, capsys, argv):
+        # Array's scalar base class is no longer a user-facing choice.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if ": error:" in line]
+        assert len(errors) == 1
+        assert "lattice" in errors[0]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--protocol", "coordination", "--sizes", "3"], "n > 4"),
+        (["--protocol", "location-discovery", "--sizes", "8",
+          "--models", "basic"], "Lemma 5"),
+    ], ids=["too-small", "infeasible"])
+    def test_sweep_unrunnable_spec_is_a_usage_error(
+        self, capsys, argv, message, executor
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--seeds", "0", "--workers", "1",
+                  "--executor", executor, "--no-cache"] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("repro: error:")]
+        assert len(errors) == 1
+        assert message in errors[0]
 
 
 class TestCliFaults:
@@ -282,7 +332,7 @@ class TestCliCache:
 
     def test_cached_sweep_summary_and_equality(self, capsys, tmp_path):
         args = ["sweep", "--sizes", "7", "--seeds", "0,1",
-                "--models", "basic", "--backends", "lattice,fraction",
+                "--models", "basic", "--backends", "array,fraction",
                 "--executor", "serial"]
         cache = ["--cache", "--cache-dir", str(tmp_path)]
         assert main(args + ["--no-cache"]) == 0
@@ -342,6 +392,24 @@ class TestCliCache:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["ok"] is False
         assert "differs" in verdict["rows"][0]["detail"]
+
+    def test_cache_verify_unrunnable_spec_is_a_row(self, capsys, tmp_path):
+        from repro.store.store import RunStore
+
+        assert main(self.RUN + ["--cache", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        store = RunStore(tmp_path)
+        (digest,) = store.iter_digests()
+        path = store.entry_path(digest)
+        envelope = json.loads(path.read_text())
+        envelope["spec"]["n"] = 3
+        path.write_text(json.dumps(envelope))
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (row,) = json.loads(captured.out)["rows"]
+        assert row["ok"] is False
+        assert row["detail"].startswith("recompute failed: ConfigurationError")
 
     def test_cache_verify_sample(self, capsys, tmp_path):
         cache = ["--cache", "--cache-dir", str(tmp_path)]

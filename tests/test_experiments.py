@@ -13,6 +13,7 @@ from repro.experiments.harness import (
     shootout,
 )
 from repro.experiments import figures, lower_bounds, table1, table2
+from repro.ring.backends import DEFAULT_BACKEND, ArrayBackend
 from repro.types import Model
 
 
@@ -120,7 +121,9 @@ class TestLowerBounds:
 class TestShootoutCore:
     """:meth:`Pairwise.rows` proves bit-exactness before it times."""
 
-    BASE, CAND, REF = Contender("base"), Contender("cand"), Contender("ref")
+    BASE, CAND, REF = (
+        Contender(label, ArrayBackend) for label in ("base", "cand", "ref")
+    )
 
     def entry(self, calls, differs=None):
         """A fake entry whose workload logs ``(label, n, collect)`` and
@@ -254,6 +257,7 @@ class TestShootouts:
             assert [row["workers"] for row in report["scaling"]] == [1, 2, 4]
         elif name == "cache":
             assert report["entries"] == 8
+            assert workload["backend"] == DEFAULT_BACKEND
         elif name == "equations":
             assert workload["bit_exact_checked_at"] == {
                 "distances": list(sizes), "sweeps": list(sizes),

@@ -32,7 +32,7 @@ from repro.api.registry import list_protocols
 from repro.faults.report import OUTCOMES, classify_spec
 
 MODELS = ("perceptive", "lazy", "basic")
-BACKENDS = ("lattice", "fraction", "array")
+BACKENDS = ("fraction", "array")
 
 #: One representative seeded plan per fault family.  Slots are chosen
 #: inside every swept ring size; rounds hit each protocol mid-pipeline.

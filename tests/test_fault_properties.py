@@ -48,7 +48,7 @@ from repro.faults.report import OUTCOMES, classify_spec  # noqa: E402
 
 PROTOCOLS = tuple(spec.name for spec in list_protocols())
 MODELS = ("perceptive", "lazy", "basic")
-BACKENDS = ("lattice", "fraction", "array")
+BACKENDS = ("fraction", "array")
 
 #: Infeasible by the paper's impossibility result (Table I).
 INFEASIBLE = {("location-discovery", "basic", True)}

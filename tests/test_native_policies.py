@@ -50,7 +50,7 @@ def _scheduler_pair(n, model, seed, backend, common_sense=False):
     return make(), make()
 
 
-BACKENDS = ["lattice", "fraction"]
+BACKENDS = ["array", "fraction"]
 
 
 class TestRegistryEquivalence:
@@ -122,7 +122,7 @@ class TestDriverUnits:
     def test_neighbor_discovery_requires_perceptive(self):
         from repro.protocols.policies import neighbor_discovery as native
 
-        sched, _ = _scheduler_pair(8, Model.BASIC, 0, "lattice")
+        sched, _ = _scheduler_pair(8, Model.BASIC, 0, "array")
         with pytest.raises(ProtocolError, match="perceptive"):
             native.discover_neighbors(sched)
 
@@ -183,7 +183,7 @@ class TestDriverUnits:
         from repro.protocols.policies import emptiness as native
 
         for n in (7, 8):
-            a, b = _scheduler_pair(n, model, 1, "lattice",
+            a, b = _scheduler_pair(n, model, 1, "array",
                                    common_sense=True)
             for sched in (a, b):
                 da_legacy.assume_common_frame(sched)
@@ -217,7 +217,7 @@ class TestDriverUnits:
         from repro.protocols import global_broadcast as legacy
         from repro.protocols.policies import global_broadcast as native
 
-        a, b = _scheduler_pair(8, Model.LAZY, 9, "lattice",
+        a, b = _scheduler_pair(8, Model.LAZY, 9, "array",
                                common_sense=True)
         for sched in (a, b):
             da_legacy.assume_common_frame(sched)
@@ -251,7 +251,7 @@ class TestDriverUnits:
         from repro.protocols import nmove_perceptive as legacy
         from repro.protocols.policies import nmove_perceptive as native
 
-        a, b = _scheduler_pair(8, Model.PERCEPTIVE, 3, "lattice")
+        a, b = _scheduler_pair(8, Model.PERCEPTIVE, 3, "array")
         stats_native = native.nmove_perceptive(a)
         stats_legacy = legacy.nmove_perceptive(b)
         assert stats_native == stats_legacy

@@ -21,6 +21,7 @@ from repro.parallel.pool import (
     run_specs_pooled,
     shutdown_pools,
 )
+from repro.ring.backends import BACKEND_NAMES
 
 #: Models x backends sweep: every combination the bit-exactness story
 #: claims, at sizes small enough for pooled tests.
@@ -29,7 +30,7 @@ SPECS = sweep(
     sizes=(7, 8),
     seeds=(0,),
     models=("perceptive", "lazy"),
-    backends=("lattice", "array"),
+    backends=BACKEND_NAMES,
 )
 
 SERIAL = Fleet(SPECS, executor="serial").run()

@@ -27,7 +27,7 @@ from repro.types import LocalDirection, Model
 
 R, L = LocalDirection.RIGHT, LocalDirection.LEFT
 
-BACKENDS = ("lattice", "array", "fraction")
+BACKENDS = ("array", "fraction")
 
 
 def fresh_sched(backend, n=8, seed=2, model=Model.PERCEPTIVE, **kwargs):
@@ -85,7 +85,7 @@ class TestStopPredicate:
         ref.simulator.execute(vec)
         assert sched.state.snapshot() == ref.state.snapshot()
 
-    @pytest.mark.parametrize("backend", ("lattice", "array"))
+    @pytest.mark.parametrize("backend", ("fraction", "array"))
     def test_predicate_called_once_per_round_in_order(self, backend):
         sched = fresh_sched(backend)
         seen = []
@@ -208,7 +208,7 @@ class TestUnchecked:
                 [dict(v.memory) for v in session.views],
                 [list(v.log) for v in session.views],
             ))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_push_probe_restores_positions_in_one_round(self, backend):

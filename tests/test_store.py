@@ -25,7 +25,7 @@ def put_one(store: RunStore, digest: str = DIGEST, result=None) -> bool:
         dict(RESULT) if result is None else result,
         key={"n": 7},
         spec={"n": 7, "protocol": "coordination"},
-        backend="lattice",
+        backend="array",
     )
 
 
@@ -47,7 +47,7 @@ class TestTwoTiers:
         assert envelope["result"] == RESULT
         assert envelope["digest"] == DIGEST
         assert envelope["store_schema"] == STORE_SCHEMA
-        assert envelope["backend"] == "lattice"
+        assert envelope["backend"] == "array"
 
     def test_disk_survives_new_store_instance(self, tmp_path):
         put_one(make_store(tmp_path))
@@ -175,7 +175,7 @@ def _race_writer(args):
         dict(RESULT),
         key={"n": 7},
         spec={"n": 7, "worker": worker},
-        backend="lattice",
+        backend="array",
     )
     return ok
 

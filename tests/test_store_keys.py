@@ -73,6 +73,8 @@ class TestBackendIndependence:
     computing the same result, so they must not key."""
 
     def test_backend_excluded(self):
+        # The retired "lattice" name included: entries recorded under it
+        # keep their key.
         for backend in ("lattice", "fraction", "array"):
             assert run_key(replace(SPEC, backend=backend)) == PINNED_DIGEST
 

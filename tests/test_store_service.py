@@ -18,6 +18,7 @@ from repro.store.service import (
     compute_or_fetch,
     get_store,
     resolve_cache,
+    verify_entry,
 )
 from repro.store.store import RunStore
 
@@ -80,7 +81,7 @@ class TestComputeOrFetch:
         dict(backend="fraction", driver="callback"),
     ])
     def test_backend_driver_variants_share_entries(self, store, variant):
-        compute_or_fetch(SPEC, store=store)  # populate from lattice/native
+        compute_or_fetch(SPEC, store=store)  # populate from array/native
         result, was_fetched, _ = compute_or_fetch(
             replace(SPEC, **variant), store=store
         )
@@ -125,12 +126,47 @@ class TestComputeOrFetch:
         assert was_fetched is True
 
 
+class TestVerifyEntry:
+    """``verify_entry`` recomputes a stored entry and always answers with
+    a row: a spec that cannot run is a not-ok row, never a traceback."""
+
+    @staticmethod
+    def edit_spec(store, digest, **fields):
+        path = store.entry_path(digest)
+        envelope = json.loads(path.read_text())
+        envelope["spec"].update(fields)
+        path.write_text(json.dumps(envelope))
+
+    @pytest.mark.parametrize("backend", ["lattice", "decimal"])
+    def test_retired_backend_recomputes_on_default(self, store, backend):
+        # Entries written while "lattice" was a backend choice record
+        # it; run keys exclude the backend, so the default's recompute
+        # must match the stored result.
+        _, _, digest = compute_or_fetch(SPEC, store=store)
+        self.edit_spec(store, digest, backend=backend)
+        row = verify_entry(store, digest)
+        assert row["ok"] is True, row
+
+    @pytest.mark.parametrize("fields,error", [
+        (dict(n=3), "ConfigurationError"),
+        (dict(protocol="frisbee"), "ProtocolError"),
+        (dict(n=8), "InfeasibleProblemError"),
+        (dict(model="psychic"), "ValueError"),
+    ], ids=["too-small", "unknown-protocol", "infeasible", "bad-model"])
+    def test_unrunnable_spec_is_a_not_ok_row(self, store, fields, error):
+        _, _, digest = compute_or_fetch(SPEC, store=store)
+        self.edit_spec(store, digest, **fields)
+        row = verify_entry(store, digest)
+        assert row["ok"] is False
+        assert row["detail"].startswith(f"recompute failed: {error}: ")
+
+
 class TestFleetPartition:
     def test_preflight_partition_and_dedup(self, tmp_path):
         cache_dir = tmp_path / "cache"
         specs = sweep(
             sizes=(7,), seeds=(0, 1), models=("basic",),
-            backends=("lattice", "fraction"),
+            backends=("array", "fraction"),
         )
         first = Fleet(
             specs, executor="serial", cache=True, cache_dir=str(cache_dir),
@@ -185,7 +221,7 @@ class TestFleetPartition:
     def test_row_order_follows_spec_list(self, tmp_path):
         specs = sweep(
             sizes=(7,), seeds=(1, 0), models=("basic",),
-            backends=("lattice", "fraction"),
+            backends=("array", "fraction"),
         )
         report = Fleet(
             specs, executor="serial", cache=True,

@@ -36,6 +36,7 @@ from repro.api.fleet import SessionSpec  # noqa: E402
 from repro.exceptions import ReproError  # noqa: E402
 from repro.faults.corpus import DEFAULT_CORPUS_DIR, record_scenario  # noqa: E402
 from repro.faults.plan import FaultPlan  # noqa: E402
+from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND  # noqa: E402
 
 
 def main(argv: list) -> int:
@@ -48,8 +49,8 @@ def main(argv: list) -> int:
     parser.add_argument("--n", type=int, required=True, help="ring size")
     parser.add_argument("--model", default="basic",
                         choices=("basic", "lazy", "perceptive"))
-    parser.add_argument("--backend", default="lattice",
-                        choices=("lattice", "fraction", "array"))
+    parser.add_argument("--backend", default=DEFAULT_BACKEND,
+                        choices=BACKEND_NAMES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--common-sense", action="store_true")
     parser.add_argument("--config", default="random")
