@@ -2,7 +2,7 @@
 
 The Fleet runner executes independent sessions across the persistent
 warm pools of :mod:`repro.parallel`: pools are spawned once and reused,
-spec and result payloads travel through shared-memory slots, and
+specs and result rows travel on the pool's own pickle channel, and
 :meth:`~repro.api.fleet.Fleet.warm` runs before the timed repeats so
 pool spin-up never lands in a timed region (the historic
 ``BENCH_fleet.json`` regression -- 0.83x "speedup" -- was exactly that
@@ -48,5 +48,5 @@ def test_fleet_shootout_16_rings(shootout_report):
         assert report["parallel_speedup"] >= 1.5
     else:
         # Single CPU: the pool cannot win, but with spin-up excluded
-        # and zero-copy payloads it must at least break even.
+        # it must at least break even.
         assert report["parallel_speedup"] >= 0.95

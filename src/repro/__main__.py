@@ -60,7 +60,12 @@ _USAGE_ERRORS = (ConfigurationError, InfeasibleProblemError, ProtocolError)
 
 
 def _sizes(spec: str) -> List[int]:
-    return [int(part) for part in spec.split(",") if part]
+    try:
+        return [int(part) for part in spec.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {spec!r}"
+        ) from None
 
 
 def _names(spec: str) -> List[str]:
@@ -84,8 +89,8 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     from repro.experiments.table1 import generate
 
     rows = generate(
-        odd_sizes=tuple(_sizes(args.odd)),
-        even_sizes=tuple(_sizes(args.even)),
+        odd_sizes=tuple(args.odd),
+        even_sizes=tuple(args.even),
         seed=args.seed,
         backend=args.backend,
     )
@@ -97,8 +102,8 @@ def _cmd_table2(args: argparse.Namespace) -> None:
     from repro.experiments.table2 import generate
 
     rows = generate(
-        odd_sizes=tuple(_sizes(args.odd)),
-        even_sizes=tuple(_sizes(args.even)),
+        odd_sizes=tuple(args.odd),
+        even_sizes=tuple(args.even),
         seed=args.seed,
         backend=args.backend,
     )
@@ -175,48 +180,41 @@ def _cmd_run(args: argparse.Namespace) -> None:
             args.parser.error(f"--faults: {exc}")
     from repro.store.service import resolve_cache
 
-    try:
-        session = RingSession(
-            n=args.n,
-            model=args.model,
-            backend=args.backend,
-            seed=args.seed,
-            common_sense=args.common_sense,
-            driver=args.driver,
-            unchecked=args.unchecked,
-            cache=resolve_cache(args.cache),
-            cache_dir=args.cache_dir,
-            faults=faults,
-        )
-    except ConfigurationError as exc:
-        args.parser.error(str(exc))
+    session = RingSession(
+        n=args.n,
+        model=args.model,
+        backend=args.backend,
+        seed=args.seed,
+        common_sense=args.common_sense,
+        driver=args.driver,
+        unchecked=args.unchecked,
+        cache=resolve_cache(args.cache),
+        cache_dir=args.cache_dir,
+        faults=faults,
+    )
     try:
         result = session.run(args.protocol)
     except ReproError as exc:
-        if session.faults is not None:
-            # Graceful degradation: a run the protocol's own checks
-            # abort under an active fault plan is the "detect" outcome,
-            # reported rather than treated as a usage error.
-            if args.json:
-                print(json.dumps({
-                    "protocol": args.protocol,
-                    "n": args.n,
-                    "faults": {
-                        "plan": json.loads(session.faults.canonical()),
-                        "outcome": "detected",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                }, indent=2))
-            else:
-                print(f"fault detected by {args.protocol}: "
-                      f"{type(exc).__name__}: {exc}")
-            return 1
-        if isinstance(exc, _USAGE_ERRORS):
-            # Unknown protocol names and paper-proven-infeasible
-            # settings are user errors, not tracebacks.
-            args.parser.error(str(exc))
-        raise
+        if session.faults is None:
+            raise
+        # Graceful degradation: a run the protocol's own checks abort
+        # under an active fault plan is the "detect" outcome, reported
+        # rather than treated as a usage error.
+        if args.json:
+            print(json.dumps({
+                "protocol": args.protocol,
+                "n": args.n,
+                "faults": {
+                    "plan": json.loads(session.faults.canonical()),
+                    "outcome": "detected",
+                    "error": type(exc).__name__,
+                    "message": str(exc),
+                },
+            }, indent=2))
+        else:
+            print(f"fault detected by {args.protocol}: "
+                  f"{type(exc).__name__}: {exc}")
+        return 1
     phases = [
         {
             "name": name,
@@ -281,9 +279,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             )
 
     faults = _parse_faults(args)
-    sizes = _sizes(args.sizes)
     if faults is not None:
-        for n in sizes:
+        for n in args.sizes:
             try:
                 faults.validate_for(n)
             except ConfigurationError as exc:
@@ -291,8 +288,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
     specs = sweep(
         protocol=args.protocol,
-        sizes=sizes,
-        seeds=_sizes(args.seeds),
+        sizes=args.sizes,
+        seeds=args.seeds,
         models=models,
         backends=backends,
         common_sense=args.common_sense,
@@ -304,13 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         specs, workers=args.workers, executor=args.executor,
         cache=args.cache, cache_dir=args.cache_dir,
     )
-    try:
-        report = fleet.run()
-    except _USAGE_ERRORS as exc:
-        # A spec that cannot run, re-raised from whichever executor ran
-        # it: a usage error, like the same input to ``run``.
-        args.parser.error(str(exc))
-    payload = report.to_json()
+    payload = fleet.run().to_json()
     print(payload)
     if args.out:
         with open(args.out, "w") as fh:
@@ -322,19 +313,13 @@ def _cmd_demo(args: argparse.Namespace) -> None:
     from repro import Model, RingSession
 
     model = Model(args.model)
-    try:
-        session = RingSession(
-            n=args.n, model=model, seed=args.seed, backend=args.backend,
-            common_sense=False,
-        )
-    except ConfigurationError as exc:
-        args.parser.error(str(exc))
+    session = RingSession(
+        n=args.n, model=model, seed=args.seed, backend=args.backend,
+        common_sense=False,
+    )
     print(f"n={args.n}, model={model.value}, N={session.state.id_bound}, "
           f"backend={args.backend}")
-    try:
-        result = session.run("location-discovery")
-    except _USAGE_ERRORS as exc:
-        args.parser.error(str(exc))
+    result = session.run("location-discovery")
     print(f"location discovery solved in {result.rounds} rounds:")
     for phase, rounds in result.rounds_by_phase.items():
         print(f"  {phase:22s} {rounds:6d}")
@@ -344,12 +329,7 @@ def _cmd_demo(args: argparse.Namespace) -> None:
 def _cmd_bench(args: argparse.Namespace) -> None:
     from repro.experiments.harness import report_json, shootout, write_report
 
-    try:
-        report = shootout(args.name, args.sizes)
-    except _USAGE_ERRORS as exc:
-        # A size the workload cannot run (n <= 4, odd n for Algorithm
-        # 6, several sizes for a one-size report) is a usage error.
-        args.parser.error(str(exc))
+    report = shootout(args.name, args.sizes)
     sys.stdout.write(report_json(report))
     if args.out:
         write_report(report, args.out)
@@ -500,19 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults(run)
     run.set_defaults(fn=_cmd_run)
 
+    from repro.api.fleet import _EXECUTORS
+
     sw = sub.add_parser(
         "sweep", help="run a seed/size/model/backend sweep across a "
         "worker pool; emits a JSON RunReport"
     )
     sw.add_argument("--protocol", default="location-discovery")
-    sw.add_argument("--sizes", default="8,16")
-    sw.add_argument("--seeds", default="0,1,2,3")
+    sw.add_argument("--sizes", type=_sizes, default="8,16")
+    sw.add_argument("--seeds", type=_sizes, default="0,1,2,3")
     sw.add_argument("--models", default="perceptive")
     sw.add_argument("--backends", default=DEFAULT_BACKEND)
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument(
-        "--executor", default="process",
-        choices=["process", "thread", "serial"],
+        "--executor", default="process", choices=list(_EXECUTORS),
     )
     sw.add_argument("--common-sense", action="store_true")
     _add_driver(sw)
@@ -524,16 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(fn=_cmd_sweep)
 
     t1 = sub.add_parser("table1", help="regenerate Table I")
-    t1.add_argument("--odd", default="9,17,33")
-    t1.add_argument("--even", default="8,16,32")
+    t1.add_argument("--odd", type=_sizes, default="9,17,33")
+    t1.add_argument("--even", type=_sizes, default="8,16,32")
     t1.add_argument("--seed", type=int, default=1)
     _add_backend(t1)
     _add_json(t1)
     t1.set_defaults(fn=_cmd_table1)
 
     t2 = sub.add_parser("table2", help="regenerate Table II")
-    t2.add_argument("--odd", default="9,17")
-    t2.add_argument("--even", default="8,16")
+    t2.add_argument("--odd", type=_sizes, default="9,17")
+    t2.add_argument("--even", type=_sizes, default="8,16")
     t2.add_argument("--seed", type=int, default=1)
     _add_backend(t2)
     _add_json(t2)
@@ -617,7 +598,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser  # for subcommand-level validation errors
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except _USAGE_ERRORS as exc:
+        # Input that cannot run, from any verb: one line, exit 2.
+        parser.error(str(exc))
     return int(code) if code else 0
 
 

@@ -10,16 +10,16 @@ bit-identical regardless of executor kind or worker count (tested);
 ordering always follows the spec list.
 
 Executors: ``"process"`` (default; real parallelism for this CPU-bound
-workload on multicore hosts), ``"thread"`` (GIL-bound, but no spawn
-cost) and ``"serial"`` (in-process baseline, also the timing reference
-for the fleet benchmark).
+workload on multicore hosts) and ``"serial"`` (in-process baseline,
+also the timing reference for the fleet benchmark).
 
-The process executor rides the persistent warm pools and shared-memory
-arenas of :mod:`repro.parallel`: the pool for a worker count is created
-once and reused across every subsequent ``run()``, spec payloads and
-result rows travel through shm slots rather than pickles, and
-:meth:`Fleet.warm` pre-spawns the workers so benchmarks can keep pool
-spin-up out of their timed regions.
+The process executor rides the persistent warm pools of
+:mod:`repro.parallel`: the pool for a worker count is created once and
+reused across every subsequent ``run()``, and :meth:`Fleet.warm`
+pre-spawns the workers so benchmarks can keep pool spin-up out of their
+timed regions.  Specs and result rows cross processes on the pool's own
+pickle channel, so a pooled row is exactly the row the serial executor
+builds.
 
 With caching on (``cache=True``, or ``REPRO_CACHE=1`` in the
 environment), ``run()`` first partitions the sweep against the
@@ -41,7 +41,6 @@ import os
 import platform
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -54,7 +53,7 @@ from repro.types import Model
 #: Schema version of the RunReport JSON payload.
 REPORT_SCHEMA = 1
 
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ class Fleet:
         specs: Session specs, executed in order (results keep the
             order regardless of completion order).
         workers: Pool size; defaults to ``min(len(specs), cpu_count)``.
-        executor: ``"process"``, ``"thread"`` or ``"serial"``.
+        executor: ``"process"`` or ``"serial"``.
         cache: Compute-or-fetch against the content-addressed run
             store (:mod:`repro.store`).  ``None`` (the default) defers
             to the ``REPRO_CACHE`` environment switch; fetched and
@@ -274,11 +273,12 @@ class Fleet:
         self.cache_dir = cache_dir
 
     def warm(self) -> None:
-        """Pre-spawn the process pool (no-op for the other executors).
+        """Pre-spawn the process pool (no-op for the serial executor).
 
         Benchmarks call this before their timed repeats so pool
         spin-up and worker imports never land inside a timed region;
-        ``run()`` warms lazily anyway, so calling it is optional.
+        the pool spawns its workers on first use anyway, so calling it
+        is optional.
         """
         if self.executor == "process":
             from repro.parallel.pool import get_pool
@@ -293,12 +293,11 @@ class Fleet:
             return []
         if self.executor == "serial":
             return [run_session_spec(spec) for spec in specs]
-        if self.executor == "process":
-            from repro.parallel.pool import run_specs_pooled
+        from repro.parallel.pool import get_pool
 
-            return run_specs_pooled(list(specs), self.workers)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(run_session_spec, specs))
+        return list(get_pool(self.workers).executor.map(
+            run_session_spec, specs
+        ))
 
     def _run_cached(self) -> RunReport:
         """The compute-or-fetch path: partition, dedup, fan out.

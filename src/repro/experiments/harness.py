@@ -680,11 +680,9 @@ def _fleet(sizes: Optional[Sequence[int]] = None) -> Report:
     the persistent warm pools of :mod:`repro.parallel` at every worker
     count of the scaling curve ``1, 2, 4``.  Each pool is warmed
     (workers spawned, session stack imported) *before* its timed
-    repeats, so pool spin-up never lands in a timed region; spec and
-    result payloads travel through shared-memory slots, not pickles.
-    Every run must produce bit-identical result payloads (a mismatch
-    raises ``SimulationError``).  Timings are the best of 3 runs per
-    executor.
+    repeats, so pool spin-up never lands in a timed region.  Every run
+    must produce bit-identical result payloads (a mismatch raises
+    ``SimulationError``).  Timings are the best of 3 runs per executor.
 
     The reported ``parallel_speedup`` is serial wall-clock over the
     best pool wall-clock across the scaling curve -- the pool's best

@@ -27,9 +27,9 @@ HOT_PATH_MODULES: Tuple[str, ...] = (
     "ring/arrayops.py",
     "analysis/int_equations.py",
     "protocols/policies/*.py",
-    # The zero-copy execution layer moves raw int64 columns between
-    # processes; a Fraction anywhere in it would mean a pickled object
-    # column snuck into the shared-memory seam.
+    # The worker pools only ship specs and result rows, whose
+    # rationals are already "p/q" strings; a Fraction here would mean
+    # the pool layer started parsing the payloads it passes through.
     "parallel/*.py",
     # The run store sits on every cached fleet's hot path and handles
     # results only as their JSON payloads ("p/q" strings); a Fraction

@@ -62,9 +62,9 @@ class TestSweepBuilder:
 class TestFleetDeterminism:
     def test_identical_across_executors_and_workers(self):
         serial = Fleet(SPECS, executor="serial").run()
-        threads = Fleet(SPECS, workers=3, executor="thread").run()
-        procs = Fleet(SPECS, workers=2, executor="process").run()
-        assert serial.payloads() == threads.payloads() == procs.payloads()
+        three = Fleet(SPECS, workers=3, executor="process").run()
+        two = Fleet(SPECS, workers=2, executor="process").run()
+        assert serial.payloads() == three.payloads() == two.payloads()
         # order always follows the spec list
         assert [row["spec"] for row in serial.results] == [
             s.to_dict() for s in SPECS
@@ -127,9 +127,10 @@ class TestRunReport:
 
 
 class TestFleetValidation:
-    def test_unknown_executor(self):
+    @pytest.mark.parametrize("executor", ["quantum", "thread"])
+    def test_unknown_executor(self, executor):
         with pytest.raises(ConfigurationError):
-            Fleet(SPECS, executor="quantum")
+            Fleet(SPECS, executor=executor)
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):

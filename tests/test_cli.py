@@ -63,11 +63,11 @@ class TestCli:
     def test_sweep_json_schema(self, capsys):
         assert main([
             "sweep", "--sizes", "7", "--seeds", "0,1", "--models", "basic",
-            "--workers", "2", "--executor", "thread",
+            "--workers", "2", "--executor", "process",
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == 1
-        assert report["executor"] == "thread"
+        assert report["executor"] == "process"
         assert report["workers"] == 2
         assert len(report["results"]) == 2
         for row in report["results"]:
@@ -238,6 +238,31 @@ class TestCli:
         assert len(errors) == 1
         assert message in errors[0]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--workers", "0"], "workers must be >= 1"),
+        (["table1", "--odd", "3"], "n > 4"),
+        (["table2", "--even", "2"], "n > 4"),
+        (["figures", "--n", "3"], "n > 4"),
+        (["sweep", "--sizes", "8,x"], "--sizes: expected comma-separated"),
+        (["sweep", "--seeds", "0,x"], "--seeds: expected comma-separated"),
+        (["table1", "--odd", "9,x"], "--odd: expected comma-separated"),
+        (["table2", "--even", "8,x"], "--even: expected comma-separated"),
+        (["sweep", "--executor", "thread"], "invalid choice: 'thread'"),
+    ], ids=["sweep-workers-0", "table1-odd-3", "table2-even-2",
+            "figures-n-3", "sweep-sizes", "sweep-seeds", "table1-odd",
+            "table2-even", "sweep-thread"])
+    def test_bad_input_is_one_error_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if ": error:" in line]
+        assert len(errors) == 1
+        assert message in errors[0]
+
 
 class TestCliFaults:
     """A fault the protocol's own checks catch is the "detect" outcome:
@@ -285,10 +310,14 @@ class TestCliBenchReports:
 
     @pytest.mark.parametrize("argv,prog", [
         (["bench", "fleet", "--sizes", "8,16"], "repro"),
+        (["bench", "simulator", "--sizes", "3"], "repro"),
+        (["bench", "equations", "--sizes", "9"], "repro"),
+        (["bench", "simulator", "--sizes", "8,x"], "repro bench"),
         (["bench", "nosuch"], "repro bench"),
         (["bench-array"], "repro"),
         (["bench", "--n", "8"], "repro bench"),
-    ], ids=["two-sizes", "unknown-name", "removed-verb", "removed-flag"])
+    ], ids=["two-sizes", "too-small", "odd-n-equations", "non-integer-size",
+            "unknown-name", "removed-verb", "removed-flag"])
     def test_bad_bench_input_is_a_usage_error(self, capsys, argv, prog):
         with pytest.raises(SystemExit) as exc:
             main(argv)

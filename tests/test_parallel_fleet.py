@@ -1,26 +1,22 @@
 """Warm-pool fleet execution: bit-identical reports across executors
-and worker counts, pool persistence across runs, and the slot-overflow
-fallback.
+and worker counts, pool persistence across runs, and rows of any size.
 
-The zero-copy executor must be invisible in the results: the same
+The process executor must be invisible in the results: the same
 ``{"spec", "result", "seconds"}`` rows (timings aside) whether specs
-run serially in-process, through threads, or through the persistent
-shared-memory worker pools -- at any worker count, for every model and
-backend combination of the sweep.
+run serially in-process or through the persistent worker pools -- at
+any worker count, for every model and backend combination of the
+sweep, for faulted specs and for rows of any size.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.api.fleet import Fleet, sweep
 from repro.exceptions import ConfigurationError
-from repro.parallel.pool import (
-    WorkerPool,
-    get_pool,
-    run_specs_pooled,
-    shutdown_pools,
-)
+from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 from repro.ring.backends import BACKEND_NAMES
 
 #: Models x backends sweep: every combination the bit-exactness story
@@ -42,9 +38,10 @@ class TestPooledDeterminism:
         fleet = Fleet(SPECS, workers=workers, executor="process")
         assert fleet.run().payloads() == SERIAL.payloads()
 
-    def test_thread_executor_still_matches(self):
-        threads = Fleet(SPECS, workers=2, executor="thread").run()
-        assert threads.payloads() == SERIAL.payloads()
+    def test_rerun_on_warm_pool_matches_serial(self):
+        fleet = Fleet(SPECS, workers=2, executor="process")
+        assert fleet.run().payloads() == SERIAL.payloads()
+        assert fleet.run().payloads() == SERIAL.payloads()
 
     def test_rows_follow_spec_order(self):
         report = Fleet(SPECS, workers=2, executor="process").run()
@@ -52,10 +49,11 @@ class TestPooledDeterminism:
             spec.to_dict() for spec in SPECS
         ]
 
-    def test_faulted_rows_match_serial_executor(self):
-        # The faults block (outcome/error/plan) must survive the shm
-        # wire format: a pooled faulted sweep produces the exact rows
-        # the serial executor does, not bare null results.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_faulted_rows_match_serial_executor(self, workers):
+        # The faults block (outcome/error/plan) must reach the parent:
+        # a pooled faulted sweep produces the exact rows the serial
+        # executor does, not bare null results.
         specs = sweep(
             protocol="location-discovery",
             sizes=(8,),
@@ -63,7 +61,7 @@ class TestPooledDeterminism:
             faults='{"seed":1,"crashes":{"2":1}}',
         )
         serial = Fleet(specs, executor="serial").run()
-        pooled = Fleet(specs, workers=2, executor="process").run()
+        pooled = Fleet(specs, workers=workers, executor="process").run()
         assert pooled.payloads() == serial.payloads()
         for row in pooled.results:
             assert row["faults"]["outcome"] == "detected"
@@ -91,6 +89,25 @@ class TestPoolPersistence:
         pool.warm()
         assert pool.executor is executor
 
+    def test_executor_is_built_lazily(self):
+        pool = WorkerPool(1)
+        assert pool.alive is False
+        try:
+            assert pool.executor is pool.executor
+            assert pool.alive
+        finally:
+            pool.shutdown()
+        assert pool.alive is False
+
+    def test_shutdown_pools_empties_the_registry(self):
+        pool = get_pool(2)
+        pool.warm()
+        shutdown_pools()
+        assert pool.alive is False
+        fresh = get_pool(2)
+        assert fresh is not pool
+        assert fresh.alive is False
+
     def test_fleet_warm_spins_up_the_registry_pool(self):
         shutdown_pools()
         Fleet(SPECS[:1], workers=2, executor="process").warm()
@@ -102,22 +119,25 @@ class TestPoolPersistence:
         pool.shutdown()
         assert pool.alive is False
         # next use lazily rebuilds the executor
-        rows = run_specs_pooled(SPECS[:1], workers=2, pool=pool)
-        assert rows[0]["result"] == SERIAL.payloads()[0]["result"]
+        report = Fleet(SPECS[:1], workers=2, executor="process").run()
+        assert report.payloads() == SERIAL.payloads()[:1]
+        assert pool.alive
 
     def test_warm_on_serial_fleet_is_a_no_op(self):
         Fleet(SPECS[:1], executor="serial").warm()
 
 
-class TestSlotOverflow:
-    def test_tiny_slots_fall_back_to_pickle_channel(self):
-        # 8-byte slots cannot hold any result row; every row must ride
-        # the fallback channel and still match serial bit for bit.
-        rows = run_specs_pooled(SPECS, workers=2, slot_bytes=8)
-        stripped = [
-            {"spec": row["spec"], "result": row["result"]} for row in rows
-        ]
-        assert stripped == SERIAL.payloads()
+class TestLargeRows:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_row_over_64_kib_matches_serial(self, workers):
+        # Lazy location discovery at n=80 records every agent's full
+        # gap vector: one row of about 94 KB, far past a pipe buffer.
+        specs = sweep(sizes=(80,), models=("lazy",))
+        serial = Fleet(specs, executor="serial").run()
+        (row,) = serial.payloads()
+        assert len(json.dumps(row)) > 1 << 16
+        pooled = Fleet(specs, workers=workers, executor="process").run()
+        assert pooled.payloads() == serial.payloads()
 
 
 class TestValidation:

@@ -192,7 +192,7 @@ class TestFleetPartition:
             cache_dir=str(tmp_path / "cache"),
         ).run()
         recached = Fleet(
-            specs, executor="thread", workers=2, cache=True,
+            specs, executor="process", workers=2, cache=True,
             cache_dir=str(tmp_path / "cache"),
         ).run()
         assert cached.payloads() == plain.payloads()
