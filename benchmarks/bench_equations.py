@@ -3,11 +3,12 @@
 The data-dependent phases spend their time in exact linear algebra:
 Algorithm 6 feeds every round's dist/coll observations into per-agent
 equation systems, and the LD sweeps accumulate per-round gap columns.
-Both used to materialise a ``Fraction`` per cell and eliminate over the
-field.  This PR's ``IntEquationSystem`` runs Bareiss-style fraction-free
-elimination on integer numerators over the backends' shared
-denominator, and the columnar ``_GapHarvest`` keeps the sweep harvest
-as an int matrix with Fractions materialised only on read.
+The spec engines materialise a ``Fraction`` per cell and eliminate over
+the field.  ``IntEquationSystem`` instead treats each window equation
+as an edge between two prefix sums and keeps a weighted union-find over
+integer numerators on the backends' shared denominator, and the
+columnar ``_GapHarvest`` keeps the sweep harvest as an int matrix with
+Fractions materialised only on read.
 
 This module times ``engine="int"`` (the default auto path) against
 ``engine="fraction"`` (the untouched spec engines) on the identical
@@ -24,10 +25,12 @@ from __future__ import annotations
 import json
 
 #: Floor for the headline int-over-Fraction speedup on Algorithm 6 at
-#: the largest benched n.  Elimination cost grows ~n^3 while the
-#: fraction-free rows stay machine ints, so the ratio widens with n;
-#: 3x at n=96 is well under the measured margin.
-MIN_DISTANCES_SPEEDUP_AT_LARGEST = 3.0
+#: the largest benched n.  The spec engine's time grows ~n^3 over a
+#: discovery while the union-find's grows ~n^2 (n agents, O(n)
+#: near-constant adds each), so the ratio widens with n; 10x at n=96
+#: sits well under the measured margin and still fails if the engine
+#: falls back to elimination.
+MIN_DISTANCES_SPEEDUP_AT_LARGEST = 10.0
 
 #: Smaller distances sizes still beat the spec engine, but the shared
 #: schedule/simulation work dilutes the ratio.

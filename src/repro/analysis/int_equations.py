@@ -1,22 +1,36 @@
-"""Fraction-free incremental elimination over the shared-denominator
-lattice.
+"""Window equations as a weighted union-find on prefix sums.
 
-Every observation a backend emits is an integer numerator over one
-shared denominator ``D`` (``dist`` over ``D``, ``coll`` over ``2 D`` --
-the same ``Z/(2D)`` grid the kinematics run on).  The exact-`Fraction`
-:class:`~repro.analysis.equations.EquationSystem` therefore spends its
-whole life normalising rationals whose denominators all divide ``D``.
-:class:`IntEquationSystem` is its fraction-free twin: rows are integer
-coefficient vectors, right-hand sides are integer numerators over the
-system's single ``den``, and elimination is Bareiss-style -- each
-combination step is the integer cross-multiplication
-``(p // g) * row - (c // g) * brow`` followed by content (gcd) removal,
-so no rational arithmetic ever runs.  Only :meth:`IntEquationSystem.
-solve` materialises Fractions, one constructor call per unknown, by
-exact integer back-substitution.
+Every equation Algorithm 6 harvests is a cyclic window sum
+``x_s + ... + x_{s+c-1} = v / den``, where ``v`` is an integer
+numerator over the backends' shared denominator ``den`` (the same
+``Z/(2D)`` grid the kinematics run on).  Over the prefix sums
+``P_k = x_0 + ... + x_{k-1}`` (``P_0 = 0``, circumference
+``L = P_n``) that window reads
 
-The Fraction classes stay untouched as the executable spec; the
-equivalence is load-bearing and pinned three ways:
+    P_e - P_s + w * L = v / den,   e = (s + c) mod n,  w = (s + c) // n,
+
+an edge between nodes ``s`` and ``e`` of a graph on the n prefix sums
+plus one global unknown ``L``.  The change of variables
+``(x_0 .. x_{n-1}) -> (P_1 .. P_{n-1}, L)`` is invertible, so ranks,
+contradictions and solutions carry over unchanged:
+
+* an edge that joins two components raises the rank by one;
+* an edge that closes a cycle reduces to ``B * L = A / den``, ``B``
+  being the cycle's net wrap count: it pins ``L`` when ``B != 0`` and
+  ``L`` is still free (rank + 1), is redundant when it agrees with what
+  is already known, and is a contradiction otherwise;
+
+so ``rank = (n - components) + [L pinned]``.
+:class:`IntEquationSystem` tracks this with a union-find whose nodes
+carry a potential ``a / den + b * L`` relative to their root: three
+length-n lists of Python ints per system, integer arithmetic only, and
+near-constant work per equation.  Only :meth:`IntEquationSystem.solve`
+materialises Fractions, through an intern dict that every agent of a
+discovery can share.
+
+The exact-`Fraction` :class:`~repro.analysis.equations.EquationSystem`
+stays the executable spec; the equivalence is load-bearing and pinned
+three ways:
 
 * construction with ``cross_check=True`` shadows every ``add`` /
   ``solve`` on a live :class:`~repro.analysis.equations.EquationSystem`
@@ -28,84 +42,44 @@ equivalence is load-bearing and pinned three ways:
   random window systems;
 * ``benchmarks/bench_equations.py`` enforces bit-exact protocol output
   against the spec engine before timing anything.
-
-Rows follow the ``array`` backend's optional-numpy contract: int64
-vectors when :func:`~repro.ring.arrayops.get_numpy` finds numpy (with
-an overflow guard that falls back before a combination could exceed
-int64), plain Python-int lists otherwise -- the list path is exact at
-arbitrary precision, so the guard can always retreat to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.equations import Equation, EquationSystem
 from repro.exceptions import SingularSystemError
-from repro.ring.arrayops import get_numpy
-
-#: A combination ``mp * row - mc * brow`` is safe on the int64 path as
-#: long as ``|mp| * max|row| + |mc| * max|brow|`` stays below this; one
-#: bit of headroom under 2^63 absorbs the sign.
-_INT64_GUARD = 1 << 62
 
 
-class IntEquation:
-    """One constraint ``sum_i coeffs[i] * x_i = value / den`` where
-    ``den`` is the owning system's shared denominator.
+class IntEquation(NamedTuple):
+    """The window constraint ``x_start + ... + x_{start+count-1} =
+    value / den`` (cyclic indices), ``den`` being the owning system's
+    shared denominator and ``value`` the right-hand side's integer
+    numerator.  Nothing here ever materialises a Fraction."""
 
-    ``coeffs`` is a sequence of plain ints (or an int64 numpy row);
-    ``value`` is the right-hand side's integer *numerator*.  Nothing
-    here ever materialises a Fraction.
-    """
-
-    __slots__ = ("coeffs", "value")
-
-    def __init__(self, coeffs, value: int) -> None:
-        self.coeffs = coeffs
-        self.value = value
+    start: int
+    count: int
+    value: int
 
     @staticmethod
-    def window(
-        n: int, start: int, count: int, value: int, scale: int = 1, xp=None
-    ) -> "IntEquation":
-        """Integer twin of :meth:`Equation.window`: the constraint
-        ``scale * (x_start + ... + x_{start+count-1}) = value / den``
-        with cyclic indices.  With ``xp`` the coefficient row is built
-        as an int64 vector by (at most two) slice adds."""
-        start %= n
-        whole, rem = divmod(count, n)
-        if xp is not None:
-            coeffs = xp.zeros(n, dtype=xp.int64)
-            if whole:
-                coeffs += scale * whole
-            end = start + rem
-            if end <= n:
-                coeffs[start:end] += scale
-            else:
-                coeffs[start:] += scale
-                coeffs[: end - n] += scale
-            return IntEquation(coeffs, value)
-        coeffs = [scale * whole] * n
-        for k in range(rem):
-            coeffs[(start + k) % n] += scale
-        return IntEquation(coeffs, value)
+    def window(n: int, start: int, count: int, value: int) -> "IntEquation":
+        """Integer twin of :meth:`Equation.window` at unit scale."""
+        return IntEquation(start % n, count, value)
 
 
 class IntEquationSystem:
-    """Incremental fraction-free Gaussian elimination (Bareiss-style).
+    """Incremental window equations over prefix sums.
 
     Mirrors :class:`~repro.analysis.equations.EquationSystem`'s API and
-    observable behaviour exactly -- same pivot choice (first nonzero
-    column, scanning ascending), same rank trajectory, same
+    observable behaviour exactly -- same rank trajectory, same
     :class:`SingularSystemError` on contradictions, identical
-    :meth:`solve` output -- but every elimination step is integer-only.
-    Basis rows are stored unnormalised (integer row, integer value
-    numerator, pivot made positive, content removed), so a stored row
-    equals the spec's reduced row times a nonzero integer; that scalar
-    cancels in rank decisions and in back-substitution.
+    :meth:`solve` output -- for window equations.  Node ``k`` stands
+    for ``P_k``; a root is its own parent, and any other node has
+    ``P_k = P_parent + a[k] / den + b[k] * L``.  ``find`` compresses
+    paths, re-basing each potential onto the root.
     """
 
     def __init__(self, n: int, den: int, cross_check: bool = False) -> None:
@@ -113,9 +87,12 @@ class IntEquationSystem:
             raise ValueError("den must be a positive integer")
         self.n = n
         self.den = den
-        self._np = get_numpy()
-        # pivot column -> (row, value numerator, max |coefficient|)
-        self._basis: Dict[int, Tuple[object, int, int]] = {}
+        self._parent = list(range(n))
+        self._a = [0] * n
+        self._b = [0] * n
+        self._components = n
+        # (A, B) with B > 0 once some cycle pinned B * L = A / den.
+        self._pin: Optional[Tuple[int, int]] = None
         self._shadow: Optional[EquationSystem] = (
             EquationSystem(n) if cross_check else None
         )
@@ -124,28 +101,26 @@ class IntEquationSystem:
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return self.n - self._components + (self._pin is not None)
 
     @property
     def full_rank(self) -> bool:
         return self.rank == self.n
 
     def _spec_equation(self, eq: IntEquation) -> Equation:
-        coeffs = eq.coeffs
-        if not isinstance(coeffs, (list, tuple)):
-            coeffs = coeffs.tolist()
-        return Equation(
-            tuple(Fraction(int(c)) for c in coeffs),
-            Fraction(int(eq.value), self.den),
+        return Equation.window(
+            self.n, eq.start, eq.count, Fraction(1),
+            Fraction(eq.value, self.den),
         )
 
-    # -- elimination ------------------------------------------------------
+    # -- the union-find ---------------------------------------------------
 
     def add(self, eq: IntEquation) -> bool:
         """Insert an equation; returns True if it increased the rank.
 
         Raises:
-            SingularSystemError: If the equation contradicts the basis.
+            SingularSystemError: If the equation contradicts the earlier
+                ones.
         """
         if self._shadow is None:
             return self._add(eq)
@@ -175,179 +150,108 @@ class IntEquationSystem:
             )
         return grew
 
+    def _find(self, node: int) -> int:
+        parent = self._parent
+        up = parent[node]
+        if up == node or parent[up] == up:
+            return up
+        path = []
+        while parent[node] != node:
+            path.append(node)
+            node = parent[node]
+        a, b = self._a, self._b
+        # path[-1] already hangs off the root; re-base the rest from
+        # the root outwards so each parent is re-based before its child.
+        for child in reversed(path[:-1]):
+            up = parent[child]
+            a[child] += a[up]
+            b[child] += b[up]
+            parent[child] = node
+        return node
+
     def _add(self, eq: IntEquation) -> bool:
-        value = int(eq.value)
-        xp = self._np
-        if xp is not None:
-            try:
-                row = xp.array(eq.coeffs, dtype=xp.int64)
-            except OverflowError:
-                row = None
-            if row is not None:
-                return self._add_np(row, value)
-        coeffs = eq.coeffs
-        if not isinstance(coeffs, list):
-            coeffs = (
-                list(coeffs)
-                if isinstance(coeffs, tuple)
-                else [int(c) for c in coeffs]
-            )
-        else:
-            coeffs = list(coeffs)
-        return self._add_py(coeffs, value)
-
-    def _add_np(self, row, value: int) -> bool:
-        """int64 elimination; retreats to :meth:`_add_py` before any
-        combination could overflow (or when a basis row already lives
-        on the unbounded list representation)."""
-        xp = self._np
-        rmax = int(xp.abs(row).max()) if row.size else 0
-        while True:
-            nonzero = xp.flatnonzero(row)
-            if nonzero.size == 0:
-                break
-            col = int(nonzero[0])
-            entry = self._basis.get(col)
-            if entry is None:
-                self._store(col, row, value)
-                return True
-            brow, bval, bmax = entry
-            if isinstance(brow, list):
-                return self._add_py(row.tolist(), value, from_col=col)
-            pivot = int(brow[col])
-            coeff = int(row[col])
-            shrink = gcd(pivot, coeff)
-            mult_row = pivot // shrink
-            mult_basis = coeff // shrink
-            grown = abs(mult_row) * rmax + abs(mult_basis) * bmax
-            if grown >= _INT64_GUARD:
-                # The running bound is pessimistic; retry it exactly,
-                # then give the arbitrary-precision path the row.
-                rmax = int(xp.abs(row).max())
-                grown = abs(mult_row) * rmax + abs(mult_basis) * bmax
-                if grown >= _INT64_GUARD:
-                    return self._add_py(row.tolist(), value, from_col=col)
-            row = mult_row * row - mult_basis * brow
-            value = mult_row * value - mult_basis * bval
-            rmax = grown
-        if value != 0:
+        start, count, value = eq
+        n = self.n
+        end = start + count
+        tail, head = start % n, end % n
+        wraps = end // n - start // n
+        # P_head - P_tail + wraps * L = value / den, with both ends
+        # re-based onto their roots (a root's potential is 0).
+        root_tail = self._find(tail)
+        root_head = self._find(head)
+        a, b = self._a, self._b
+        if root_tail != root_head:
+            self._parent[root_head] = root_tail
+            a[root_head] = a[tail] + value - a[head]
+            b[root_head] = b[tail] - wraps - b[head]
+            self._components -= 1
+            return True
+        # A closed cycle: B * L = A / den.
+        num = value - a[head] + a[tail]
+        coeff = b[head] - b[tail] + wraps
+        if self._pin is None and coeff != 0:
+            if coeff < 0:
+                num, coeff = -num, -coeff
+            shrink = gcd(num, coeff)
+            self._pin = (num // shrink, coeff // shrink)
+            return True
+        # Redundant or a contradiction; while L is free only B == 0
+        # gets here, and the check reduces to A == 0.
+        pin_num, pin_coeff = self._pin or (0, 1)
+        if coeff * pin_num != num * pin_coeff:
             raise SingularSystemError("observation contradicts earlier ones")
         return False
-
-    def _add_py(self, row: List[int], value: int, from_col: int = 0) -> bool:
-        """Arbitrary-precision (Python int) elimination."""
-        basis = self._basis
-        for col in range(from_col, self.n):
-            coeff = row[col]
-            if coeff == 0:
-                continue
-            entry = basis.get(col)
-            if entry is None:
-                self._store(col, row, value)
-                return True
-            brow, bval, _bmax = entry
-            if not isinstance(brow, list):
-                brow = brow.tolist()
-            pivot = brow[col]
-            shrink = gcd(pivot, coeff)
-            mult_row = pivot // shrink
-            mult_basis = coeff // shrink
-            row = [
-                mult_row * a - mult_basis * b for a, b in zip(row, brow)
-            ]
-            value = mult_row * value - mult_basis * bval
-        if value != 0:
-            raise SingularSystemError("observation contradicts earlier ones")
-        return False
-
-    def _store(self, col: int, row, value: int) -> None:
-        """File ``row`` as the pivot for ``col``: content removed,
-        pivot made positive, max |coefficient| cached for the int64
-        overflow guard."""
-        xp = self._np
-        if isinstance(row, list):
-            content = 0
-            for coeff in row:
-                content = gcd(content, coeff)
-                if content == 1:
-                    break
-            content = gcd(content, value)
-            if content > 1:
-                row = [coeff // content for coeff in row]
-                value //= content
-            if row[col] < 0:
-                row = [-coeff for coeff in row]
-                value = -value
-            bmax = max(abs(coeff) for coeff in row)
-        else:
-            magnitudes = xp.abs(row)
-            content = gcd(int(xp.gcd.reduce(magnitudes)), value)
-            if content > 1:
-                row = row // content
-                value //= content
-                magnitudes = xp.abs(row)
-            if int(row[col]) < 0:
-                row = -row
-                value = -value
-            bmax = int(magnitudes.max())
-        self._basis[col] = (row, value, bmax)
 
     # -- solving ----------------------------------------------------------
 
-    def solve(self) -> List[Fraction]:
-        """Back-substitute into the exact solution vector.
+    def solve(
+        self, interned: Optional[Dict[int, Dict[int, Fraction]]] = None
+    ) -> List[Fraction]:
+        """The exact solution vector.
 
-        Integer-only: per unknown one running numerator/denominator
-        pair is folded over the basis row's nonzeros with gcd
-        reduction, and the result materialises as a single ``Fraction``
-        constructor call -- no Fraction arithmetic anywhere.
+        Over the common denominator ``den * B`` every prefix sum's
+        numerator is an integer, so each gap is one integer difference.
+        Cells materialise through ``interned`` (denominator -> numerator
+        -> Fraction, canonical per value), so systems solved through one
+        dict share a single object per distinct value and construct
+        about one Fraction per distinct value between them.
         """
         if not self.full_rank:
             raise SingularSystemError(
                 f"rank {self.rank} < {self.n}: not enough observations"
             )
-        solution = self._solve_ints()
-        result = [Fraction(num, den) for num, den in solution]
+        n = self.n
+        for node in range(n):
+            self._find(node)
+        a, b = self._a, self._b
+        pin_num, pin_coeff = self._pin
+        a0, b0 = a[0], b[0]
+        prefix = [
+            (ak - a0) * pin_coeff + (bk - b0) * pin_num
+            for ak, bk in zip(a, b)
+        ]
+        prefix.append(pin_num)
+        denom = self.den * pin_coeff
+        if interned is None:
+            interned = {}
+        by_num = interned.setdefault(denom, {})
+        result = []
+        for k in range(n):
+            num = prefix[k + 1] - prefix[k]
+            cell = by_num.get(num)
+            if cell is None:
+                cell = Fraction(num, denom)
+                cell = interned.setdefault(cell.denominator, {}).setdefault(
+                    cell.numerator, cell
+                )
+                by_num[num] = cell
+            result.append(cell)
         if self._shadow is not None:
-            expected = self._shadow.solve()
-            if result != expected:
+            if result != self._shadow.solve():
                 raise AssertionError(
                     "cross-check failed: int and Fraction solutions differ"
                 )
         return result
-
-    def _solve_ints(self) -> List[Tuple[int, int]]:
-        xp = self._np
-        pairs: List[Optional[Tuple[int, int]]] = [None] * self.n
-        for col in sorted(self._basis.keys(), reverse=True):
-            row, value, _bmax = self._basis[col]
-            if isinstance(row, list):
-                beyond = [
-                    (c, row[c])
-                    for c in range(col + 1, self.n)
-                    if row[c] != 0
-                ]
-                pivot = row[col]
-            else:
-                beyond = [
-                    (c, int(row[c]))
-                    for c in xp.flatnonzero(row).tolist()
-                    if c != col
-                ]
-                pivot = int(row[col])
-            # acc = value/den - sum coeff * x_c, folded as one exact
-            # integer numerator/denominator pair.
-            acc_num, acc_den = value, self.den
-            for c, coeff in beyond:
-                num_c, den_c = pairs[c]
-                acc_num = acc_num * den_c - coeff * num_c * acc_den
-                acc_den = acc_den * den_c
-                shrink = gcd(acc_num, acc_den)
-                if shrink > 1:
-                    acc_num //= shrink
-                    acc_den //= shrink
-            pairs[col] = (acc_num, acc_den * pivot)
-        return [pair if pair is not None else (0, 1) for pair in pairs]
 
     def solve_if_ready(self) -> Optional[List[Fraction]]:
         """The solution if the system already has full rank, else None."""

@@ -70,8 +70,9 @@ FRACTION_BOUNDARY_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "LatticeBackend.execute_round",
     }),
     "analysis/int_equations.py": frozenset({
-        # solve() folds integer num/den pairs and makes exactly one
-        # Fraction constructor call per unknown (documented boundary).
+        # solve() computes every gap as an integer numerator over one
+        # common denominator and mints a Fraction only on an intern
+        # miss; the dict is shared by all agents of a discovery.
         "IntEquationSystem.solve",
         # cross_check= shadow: mirrors rows into the Fraction spec
         # engine on purpose.

@@ -11,12 +11,14 @@ n/2 + 3 round schedule is therefore planned as one
 harvests round ``j``'s observation columns into the equation systems
 and fires once all of them are full rank.  On a stretch-capable backend
 the raw integer dist/coll columns feed straight into
-:class:`~repro.analysis.int_equations.IntEquationSystem` rows over the
-shared denominator -- no ``Fraction(v, scale)`` per cell, and the
-elimination itself is fraction-free (the solutions still materialise
-as exact Fractions, identical to the spec engine's); on scalar
-backends the predicate interleaves with per-round execution on the
-exact-`Fraction` :class:`~repro.analysis.equations.EquationSystem`,
+:class:`~repro.analysis.int_equations.IntEquationSystem` as window
+records over the shared denominator -- no ``Fraction(v, scale)`` per
+cell, and each agent's system is a union-find on prefix sums with O(n)
+integer state.  The solutions materialise as exact Fractions,
+identical to the spec engine's, through one intern dict shared by
+every agent, so the n x n gap table holds about n distinct objects.
+On scalar backends the predicate interleaves with per-round execution
+on the exact-`Fraction` :class:`~repro.analysis.equations.EquationSystem`,
 reproducing the legacy loop bit for bit.  Either way the firing round
 is the schedule's planned end, so the native driver stays bit-exact
 with the callback reference.  ``engine="fraction"`` forces the spec
@@ -179,7 +181,7 @@ def discover_distances(
     postcondition: every agent's gap vector under ``ld.gaps``.
 
     ``engine`` picks the equation backend: ``None``/``"int"`` harvest
-    into the fraction-free :class:`IntEquationSystem` whenever the
+    into the prefix-sum :class:`IntEquationSystem` whenever the
     stretch outcome carries integer columns (falling back to the spec
     engine on scale-less materialised runs); ``"cross"`` does the same
     but shadows every system on a live :class:`EquationSystem` and
@@ -258,7 +260,6 @@ def discover_distances(
         round_windows = windows[j]
         done = True
         if use_ints:
-            xp = result.np
             dists, colls2 = _int_round_columns(
                 result, j, flips, mode["mask"]
             )
@@ -267,9 +268,8 @@ def discover_distances(
                 system = systems[slot]
                 if rotation % n != 0:
                     system.add(
-                        IntEquation.window(
-                            n, (label0 + rho) % n, rotation,
-                            dists[slot], xp=xp,
+                        IntEquation(
+                            (label0 + rho) % n, rotation, dists[slot]
                         )
                     )
                 window = round_windows[slot]
@@ -279,11 +279,7 @@ def discover_distances(
                     and colls2[slot] >= 0
                 ):
                     start, hops = window
-                    system.add(
-                        IntEquation.window(
-                            n, start, hops, colls2[slot], xp=xp
-                        )
-                    )
+                    system.add(IntEquation(start, hops, colls2[slot]))
                 if done and not system.full_rank:
                     done = False
             return done
@@ -315,6 +311,9 @@ def discover_distances(
     if not systems:
         raise ProtocolError("the Convolution/Pivot schedule ran no rounds")
     gaps_column: List[List[Fraction]] = []
+    # One intern dict for every agent's solve: all of them solve for
+    # the same label-indexed gaps, so cells share about n objects.
+    interned: Dict[int, Dict[int, Fraction]] = {}
     for slot, system in enumerate(systems):
         if not system.full_rank:
             raise ProtocolError(
@@ -322,7 +321,7 @@ def discover_distances(
                 f"{system.rank} < {n}; the Convolution/Pivot schedule "
                 "should reach full rank"
             )
-        x = system.solve()
+        x = system.solve(interned) if mode["ints"] else system.solve()
         label0 = labels[slot] - 1
         gaps_column.append([x[(label0 + k) % n] for k in range(n)])
     population.set_column(KEY_LD_GAPS, gaps_column)

@@ -10,8 +10,7 @@ tested: an integer-mode Distances run on the array backend performs
 *zero* Fraction arithmetic.
 """
 
-import builtins
-import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,6 @@ from repro.protocols.policies.location_discovery import (
     sweep_rotation_one,
     sweep_rotation_two,
 )
-from repro.ring import arrayops
 from repro.ring.configs import random_configuration
 from repro.types import Model
 
@@ -48,20 +46,14 @@ def _spec_window(n, start, count, num):
 
 class TestIntEquationWindow:
     def test_matches_spec_window_and_stays_integer(self):
-        for n, start, count in [(4, 3, 2), (5, 0, 5), (6, 4, 9), (3, 2, 1)]:
+        for n, start, count in [
+            (4, 3, 2), (5, 0, 5), (6, 4, 9), (3, 2, 1), (4, -1, 3),
+        ]:
             eq = IntEquation.window(n, start, count, value=7)
+            assert eq == (start % n, count, 7)
+            assert all(type(field) is int for field in eq)
             spec = Equation.window(n, start, count, F(1), F(7, DEN))
-            assert [F(c) for c in eq.coeffs] == list(spec.coeffs)
-            assert all(type(c) is int for c in eq.coeffs)
-            assert type(eq.value) is int
-
-    def test_numpy_row_matches_list_row(self):
-        np = pytest.importorskip("numpy")
-        for n, start, count in [(5, 3, 4), (6, 5, 14), (4, 1, 4)]:
-            plain = IntEquation.window(n, start, count, value=3)
-            vec = IntEquation.window(n, start, count, value=3, xp=np)
-            assert vec.coeffs.dtype == np.int64
-            assert vec.coeffs.tolist() == plain.coeffs
+            assert IntEquationSystem(n, DEN)._spec_equation(eq) == spec
 
 
 class TestIntEquationSystemEquivalence:
@@ -73,20 +65,22 @@ class TestIntEquationSystemEquivalence:
         identical observable behaviour at every step."""
         import random
 
-        n = data.draw(st.integers(min_value=3, max_value=12))
+        n = data.draw(st.integers(min_value=1, max_value=14))
         rng = random.Random(data.draw(st.integers(0, 100_000)))
         x_nums = [rng.randint(-3 * DEN, 3 * DEN) for _ in range(n)]
         int_sys = IntEquationSystem(n, DEN)
         spec = EquationSystem(n)
         for _ in range(4 * n):
-            start = rng.randrange(n)
-            count = rng.randint(1, 2 * n)
+            # Records need not hold a reduced start; the system wraps
+            # it onto the ring itself.
+            start = rng.randrange(-2 * n, 3 * n)
+            count = rng.randint(1, 3 * n)
             num = sum(x_nums[(start + k) % n] for k in range(count))
             if rng.random() < 0.1:
                 num += rng.randint(1, 5)  # corrupt: may contradict
             int_raised = spec_raised = False
             try:
-                grew = int_sys.add(IntEquation.window(n, start, count, num))
+                grew = int_sys.add(IntEquation(start, count, num))
             except SingularSystemError:
                 int_raised = True
             try:
@@ -119,6 +113,67 @@ class TestIntEquationSystemEquivalence:
                 int_sys.add(IntEquation.window(n, start, count, num))
             assert int_sys.solve() == [F(v, DEN) for v in x_nums]
 
+    def test_wrap_only_window_pins_L_and_a_contradicting_wrap_raises(self):
+        """A window of whole laps is a self-loop on one prefix-sum node:
+        it pins the circumference L on its own.  Later wraps that agree
+        with L are redundant, and one that disagrees raises on both
+        engines, whether it is another self-loop or closes a cycle."""
+        n = 4
+        int_sys = IntEquationSystem(n, DEN)
+        spec = EquationSystem(n)
+
+        def both_add(start, count, num):
+            grew = int_sys.add(IntEquation.window(n, start, count, num))
+            assert grew == spec.add(_spec_window(n, start, count, num))
+            assert int_sys.rank == spec.rank
+            return grew
+
+        assert both_add(1, 2 * n, 200)
+        assert int_sys.rank == 1
+        assert not both_add(3, n, 100)
+        assert both_add(0, 1, 10)
+        assert not both_add(1, n - 1, 90)
+        for start, count, num in [(2, n, 101), (1, n - 1, 91)]:
+            with pytest.raises(SingularSystemError, match="contradicts"):
+                int_sys.add(IntEquation.window(n, start, count, num))
+            with pytest.raises(SingularSystemError, match="contradicts"):
+                spec.add(_spec_window(n, start, count, num))
+        assert int_sys.rank == spec.rank == 2
+
+    def test_long_chain_added_in_reverse_order_solves_exactly(self):
+        """Unit windows added from the far end hang each prefix-sum
+        node under its predecessor, a chain n - 1 deep.  The first find
+        from its deep end must walk it without recursion and re-base
+        every potential onto the root."""
+        n = 1500
+        x_nums = [(7 * k) % 13 - 6 for k in range(n)]
+        int_sys = IntEquationSystem(n, DEN)
+        for k in reversed(range(n - 1)):
+            assert int_sys.add(IntEquation.window(n, k, 1, x_nums[k]))
+        assert int_sys.rank == n - 1
+        assert int_sys.add(IntEquation.window(n, n - 1, n, sum(x_nums)))
+        assert int_sys._parent == [0] * n
+        assert int_sys.solve() == [F(v, DEN) for v in x_nums]
+
+    def test_systems_solved_through_one_intern_dict_share_cells(self):
+        """Equal cells come back as one object, within a system and
+        across systems, even when their shared denominators differ."""
+        x_nums = [10, 20, 10]
+        interned = {}
+        solutions = []
+        for den_scale in (1, 2):
+            int_sys = IntEquationSystem(3, DEN * den_scale)
+            for start, count in [(0, 1), (1, 1), (2, 4)]:
+                num = sum(x_nums[(start + k) % 3] for k in range(count))
+                int_sys.add(
+                    IntEquation.window(3, start, count, num * den_scale)
+                )
+            solutions.append(int_sys.solve(interned))
+        first, second = solutions
+        assert first == second == [F(v, DEN) for v in x_nums]
+        assert first[0] is first[2]
+        assert all(a is b for a, b in zip(first, second))
+
     def test_cross_check_mode_runs_both_engines(self):
         sys_ = IntEquationSystem(3, DEN, cross_check=True)
         assert sys_.add(IntEquation.window(3, 0, 1, 10))
@@ -133,94 +188,6 @@ class TestIntEquationSystemEquivalence:
     def test_invalid_den_rejected(self):
         with pytest.raises(ValueError):
             IntEquationSystem(3, 0)
-
-
-class TestIntEquationSystemOverflow:
-    def test_huge_coefficients_retreat_to_python_ints(self):
-        """Coefficients beyond int64 must take the arbitrary-precision
-        path (the numpy constructor raises OverflowError) and still
-        agree with the spec."""
-        n = 3
-        big = 1 << 70
-        int_sys = IntEquationSystem(n, DEN)
-        spec = EquationSystem(n)
-        rows = [
-            ([big, 1, 0], 5),
-            ([0, big, 1], 7),
-            ([1, 0, big], 9),
-        ]
-        for coeffs, num in rows:
-            assert int_sys.add(IntEquation(coeffs, num))
-            spec.add(Equation(
-                tuple(F(c) for c in coeffs), F(num, DEN)
-            ))
-        assert int_sys.solve() == spec.solve()
-
-    def test_growth_under_elimination_retreats_before_int64_overflow(self):
-        """Rows that start inside int64 but whose combination would
-        overflow must be handed to the Python-int path mid-stream, with
-        results unchanged."""
-        n = 3
-        p = (1 << 35) + 3
-        q = (1 << 35) + 7  # coprime to p, so no content to strip
-        x_nums = [1, 2, 3]  # ground truth, numerators over DEN
-
-        def both_add(int_sys, spec, coeffs):
-            num = sum(c * v for c, v in zip(coeffs, x_nums))
-            grew = int_sys.add(IntEquation(list(coeffs), num))
-            expected = spec.add(Equation(
-                tuple(F(c) for c in coeffs), F(num, DEN)
-            ))
-            assert grew == expected
-
-        int_sys = IntEquationSystem(n, DEN)
-        spec = EquationSystem(n)
-        # Eliminating the second row against the first cross-multiplies
-        # to ~p*q =~ 2^70 coefficients: past the int64 guard.
-        both_add(int_sys, spec, (p, 1, 0))
-        both_add(int_sys, spec, (1, q, 0))
-        both_add(int_sys, spec, (1, 1, 1))
-        assert int_sys.full_rank
-        assert int_sys.solve() == spec.solve()
-        assert int_sys.solve() == [F(v, DEN) for v in x_nums]
-        # The retreat really happened: at least one basis row must have
-        # left the int64 representation.
-        assert any(
-            isinstance(row, list)
-            for row, _val, _bmax in int_sys._basis.values()
-        )
-
-
-class TestIntEquationSystemWithoutNumpy:
-    def test_stdlib_path_matches_spec(self, monkeypatch):
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kwargs):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("numpy unavailable in this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", blocked)
-        for mod in [
-            m for m in list(sys.modules)
-            if m == "numpy" or m.startswith("numpy.")
-        ]:
-            monkeypatch.delitem(sys.modules, mod)
-        arrayops.reset_numpy_cache()
-        try:
-            int_sys = IntEquationSystem(3, DEN)
-            assert int_sys._np is None
-            spec = EquationSystem(3)
-            for start, count, num in [(0, 2, 30), (1, 2, 50), (0, 3, 60)]:
-                int_sys.add(IntEquation.window(3, start, count, num))
-                spec.add(_spec_window(3, start, count, num))
-            assert int_sys.full_rank
-            assert int_sys.solve() == spec.solve()
-            for row, _val, _bmax in int_sys._basis.values():
-                assert isinstance(row, list)
-        finally:
-            monkeypatch.undo()
-            arrayops.reset_numpy_cache()
 
 
 class TestCyclicPairSumsInts:
@@ -272,6 +239,34 @@ class TestNativeDistancesEngines:
                 ],
             )
         assert results["int"] == results["fraction"]
+
+    def test_cross_engine_matches_fraction_engine_at_n48(self):
+        results = {}
+        for engine in ("cross", "fraction"):
+            sched = _distances_sched(48, seed=9)
+            rounds = discover_distances(sched, engine=engine)
+            results[engine] = (
+                rounds,
+                sched.state.snapshot(),
+                [
+                    list(col)
+                    for col in sched.population.get_column(KEY_LD_GAPS)
+                ],
+            )
+        assert results["cross"] == results["fraction"]
+
+    def test_discovery_memory_is_linear_per_agent(self):
+        """Each agent's system is three length-n lists, so discovery at
+        n = 128 peaks at about 2 MiB of traced allocations; one n x n
+        int64 matrix per agent alone would be 16 MiB."""
+        sched = _distances_sched(128, seed=7)
+        tracemalloc.start()
+        try:
+            discover_distances(sched)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
     def test_unknown_engine_rejected(self):
         sched = _distances_sched(8, seed=0)

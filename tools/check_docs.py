@@ -165,7 +165,7 @@ def bench_markdown() -> str:
     sweep_head = max(eqs["sweeps"], key=lambda row: row["n"])
     rows.append((
         "`BENCH_equations.json`",
-        "fraction-free equation engine + columnar gap harvests",
+        "union-find equation engine + columnar gap harvests",
         f"int over Fraction: "
         f"**{dist_head['speedup_int_over_fraction']}x** distances at "
         f"n={dist_head['n']}, "
