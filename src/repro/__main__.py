@@ -7,8 +7,7 @@ Usage::
                         [--model perceptive] [--seed 2024]
                         [--backend array|fraction]
                         [--common-sense]
-                        [--driver native|callback]
-                        [--unchecked] [--json]
+                        [--driver native|callback] [--json]
                         [--cache|--no-cache] [--cache-dir DIR]
                         [--faults PLAN|@file.json]
     python -m repro sweep [--protocol location-discovery]
@@ -187,7 +186,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         seed=args.seed,
         common_sense=args.common_sense,
         driver=args.driver,
-        unchecked=args.unchecked,
         cache=resolve_cache(args.cache),
         cache_dir=args.cache_dir,
         faults=faults,
@@ -232,7 +230,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
             "seed": args.seed,
             "common_sense": args.common_sense,
             "driver": session.driver,
-            "unchecked": args.unchecked,
             "phases": phases,
             "result": result.to_dict(),
         }
@@ -294,7 +291,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         backends=backends,
         common_sense=args.common_sense,
         driver=args.driver,
-        unchecked=args.unchecked,
         faults=faults.canonical() if faults is not None else None,
     )
     fleet = Fleet(
@@ -386,12 +382,6 @@ def _add_driver(parser: argparse.ArgumentParser) -> None:
         "--driver", default=DEFAULT_DRIVER, choices=list(DRIVER_NAMES),
         help="phase implementation: native whole-population policies "
         "or the legacy per-agent callback drivers (bit-exact)",
-    )
-    parser.add_argument(
-        "--unchecked", action="store_true",
-        help="skip the provably-restoring rounds of probe/restore "
-        "pairs (native driver; same results and final positions, "
-        "fewer rounds and shorter logs)",
     )
 
 

@@ -75,9 +75,6 @@ class SessionSpec:
     id_bound: Optional[int] = None
     config: str = "random"
     driver: str = DEFAULT_DRIVER
-    #: Opt-in fast mode: skip the provably-restoring rounds of
-    #: probe/restore pairs (native driver; see RingSession docs).
-    unchecked: bool = False
     #: Fault plan as canonical JSON (``None`` = fault-free).  Accepts a
     #: FaultPlan, a document dict or a JSON string at construction;
     #: parseable inputs normalise to the canonical string (so equal
@@ -110,7 +107,17 @@ class SessionSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SessionSpec":
-        return cls(**data)
+        """Rebuild a spec from a :meth:`to_dict` document.
+
+        Documents stored before the ``unchecked`` mode was removed
+        (corpus entries, cache envelopes) carry ``"unchecked": false``,
+        which is dropped; one that asks for the mode raises
+        :class:`~repro.exceptions.ConfigurationError`.
+        """
+        fields = dict(data)
+        if fields.pop("unchecked", False) is not False:
+            raise ConfigurationError("the unchecked mode has been removed")
+        return cls(**fields)
 
 
 def run_session_spec(spec: SessionSpec) -> Dict[str, object]:
@@ -129,7 +136,6 @@ def run_session_spec(spec: SessionSpec) -> Dict[str, object]:
         id_bound=spec.id_bound,
         config=spec.config,
         driver=spec.driver,
-        unchecked=spec.unchecked,
         faults=spec.faults,
     )
     start = time.perf_counter()
@@ -411,7 +417,6 @@ def sweep(
     id_bound: Optional[int] = None,
     config: str = "random",
     driver: str = DEFAULT_DRIVER,
-    unchecked: bool = False,
     faults: Optional[str] = None,
 ) -> List[SessionSpec]:
     """Cartesian-product spec builder: sizes x seeds x models x backends.
@@ -437,7 +442,6 @@ def sweep(
                         id_bound=id_bound,
                         config=config,
                         driver=driver,
-                        unchecked=unchecked,
                         faults=faults,
                     ))
     return specs

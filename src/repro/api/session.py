@@ -64,13 +64,6 @@ class RingSession:
             ``"native"`` (whole-population policies over columnar state,
             the default) or ``"callback"`` (the legacy per-agent
             reference drivers).  The two are bit-exact.
-        unchecked: Opt-in fast mode (native driver only): the provably
-            restoring rounds of probe/restore pairs are skipped -- their
-            net rotation is committed directly instead of simulated.
-            Protocol results and final positions are unchanged
-            (property-tested); round counts and agent logs are not,
-            because the skipped rounds never happen.  CLI:
-            ``--unchecked``.
     """
 
     def __init__(
@@ -87,7 +80,6 @@ class RingSession:
         state: Optional[RingState] = None,
         scheduler: Optional[Scheduler] = None,
         cross_validate: bool = False,
-        unchecked: bool = False,
         cache: bool = False,
         cache_dir: Optional[str] = None,
         faults: FaultPlanLike = None,
@@ -122,7 +114,6 @@ class RingSession:
                     ("id_bound", id_bound is not None),
                     ("config", config is not None),
                     ("cross_validate", cross_validate),
-                    ("unchecked", unchecked),
                     ("faults", self.faults is not None),
                 )
                 if given
@@ -165,7 +156,6 @@ class RingSession:
                         "id_bound": id_bound,
                         "config": config if config is not None else "random",
                         "driver": self.driver,
-                        "unchecked": unchecked,
                         "faults": (
                             self.faults.canonical()
                             if self.faults is not None
@@ -204,7 +194,7 @@ class RingSession:
                     )
             self.scheduler = Scheduler(
                 state, model, cross_validate, backend=backend,
-                unchecked=unchecked, faults=self.faults,
+                faults=self.faults,
             )
         self._spec: Optional[ProtocolSpec] = None
         self._pending: List[Phase] = []
@@ -241,15 +231,13 @@ class RingSession:
         common_sense: bool = False,
         driver: Optional[str] = None,
         cross_validate: bool = False,
-        unchecked: bool = False,
         faults: FaultPlanLike = None,
     ) -> "RingSession":
         """Wrap an existing world state (the caller keeps ownership)."""
         return cls(
             state=state, model=model, backend=backend,
             common_sense=common_sense, driver=driver,
-            cross_validate=cross_validate, unchecked=unchecked,
-            faults=faults,
+            cross_validate=cross_validate, faults=faults,
         )
 
     @classmethod

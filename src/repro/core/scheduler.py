@@ -42,11 +42,9 @@ plus a per-round stop predicate over the observation columns -- via
 :meth:`Scheduler.run_stretch`; stretch-capable backends advance the
 whole span and cut the commit back to the predicate's firing round
 (a rotation-offset rewind), scalar backends interleave execute and
-evaluate.  ``unchecked=True`` additionally lets native drivers skip
-the provably-restoring rounds of probe/restore pairs entirely
-(:meth:`Scheduler.skip_restoring`): final positions and protocol
-results are unchanged, but the skipped rounds appear in neither the
-round count nor the logs -- an explicit opt-in trade.
+evaluate.  Every REVERSEDROUND of a probe/restore pair is executed and
+counted, as in the paper's accounting; on stretch-capable backends its
+observations are never materialised.
 """
 
 from __future__ import annotations
@@ -100,7 +98,6 @@ class Scheduler:
         model: Model = Model.BASIC,
         cross_validate: bool = False,
         backend: BackendSpec = None,
-        unchecked: bool = False,
         faults: FaultPlanLike = None,
     ) -> None:
         self.simulator = RingSimulator(
@@ -109,9 +106,8 @@ class Scheduler:
         self.model = model
         # Adversarial execution (repro.faults): an active plan routes
         # every round through FaultInjector.transform, disables fused
-        # stretch execution (injection is per-round by nature) and the
-        # unchecked restore-skip (skipped rounds would dodge the
-        # adversary), and enforces the plan's round budget.
+        # stretch execution (injection is per-round by nature), and
+        # enforces the plan's round budget.
         self.faults: Optional[FaultPlan] = FaultPlan.coerce(faults)
         if self.faults is not None:
             self._injector: Optional[FaultInjector] = FaultInjector(
@@ -119,16 +115,8 @@ class Scheduler:
             )
             self.simulator.idle_exempt = self._injector.idle_exempt
             self._round_budget = self.faults.round_budget
-            unchecked = False
         else:
             self._injector = None
-        # Opt-in fast mode: native phase drivers skip the provably
-        # restoring rounds of probe/restore pairs (positions advance by
-        # the span's net rotation instead of being simulated).  Protocol
-        # outcomes and final positions are unchanged; round counts and
-        # logs are not -- see Scheduler.skip_restoring.  Cross-validated
-        # runs never skip (there would be nothing to validate).
-        self.unchecked = bool(unchecked) and not cross_validate
         self.population = Population(
             n=state.n,
             ids=state.ids,
@@ -335,14 +323,13 @@ class Scheduler:
         return outcomes
 
     def skip_restoring(self, row, k: int = 1) -> None:
-        """Apply ``k`` provably-restoring rounds of ``row`` unsimulated.
+        """Apply ``k`` rounds of ``row`` as their net rotation, unsimulated.
 
-        The ``unchecked`` fast path for restore steps: the span's net
-        rotation is committed directly (Lemma 1 -- a round's entire
-        effect on the world is a rotation), no rounds are counted, no
-        observations are filed.  Only ever routed here by native phase
-        drivers for REVERSEDROUND spans whose observations are provably
-        never read; :attr:`unchecked` must be on.
+        Lemma 1: a round's entire effect on the world is a rotation, so
+        the span's positions are committed directly; no rounds are
+        counted and no observations are filed.  No phase driver calls
+        this -- every REVERSEDROUND runs as a counted round -- and
+        ``perfbench/tracing.py`` binds to it by name.
         """
         self.simulator.apply_restoring_span(row, k)
 

@@ -79,7 +79,6 @@ def _run_result(spec: "SessionSpec") -> Dict[str, object]:
         id_bound=spec.id_bound,
         config=spec.config,
         driver=spec.driver,
-        unchecked=spec.unchecked,
         faults=spec.faults,
     )
     result = session.run(spec.protocol)

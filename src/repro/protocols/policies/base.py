@@ -24,17 +24,9 @@ executes the span in one backend call on stretch-capable backends and
 the step's harvest receives the columnar *stretch outcome* instead of
 one round's observations.  :meth:`PhasePolicy.push_probe` plans the
 paper's probe/REVERSEDROUND pair as one such span, so every
-``push_probe``-based driver fuses automatically.
-
-Unchecked execution: when the scheduler runs with ``unchecked=True``,
-:meth:`PhasePolicy.push_restore` (and the restore halves of
-:meth:`PhasePolicy.push_probe_span` / :meth:`PhasePolicy.push_probe`)
-enqueue *skip steps* instead of rounds -- the span's provable net
-effect, a rotation (Lemma 1), is committed directly by
-:meth:`~repro.core.scheduler.Scheduler.skip_restoring` without
-simulating anything.  Protocol results and final positions are
-unchanged; the skipped rounds appear in neither the round count nor
-the agent logs.
+``push_probe``-based driver fuses automatically.  Restore rounds are
+executed and counted like any other round (the paper's accounting);
+on a stretch-capable backend their observations never materialise.
 
 Vector helpers mirror the legacy per-agent vocabulary:
 :func:`aligned_vector` is the column form of
@@ -85,17 +77,6 @@ class _StretchStep:
 
     def __init__(self, spec: Any) -> None:
         self.spec = spec
-
-
-class _SkipStep:
-    """Queue marker for a provably-restoring span skipped under
-    ``unchecked`` execution.  ``build()`` returns ``(row, k)`` at
-    consume time (the row usually depends on ``last_vector``)."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build: Callable[[], Any]) -> None:
-        self.build = build
 
 
 def opposite_vector(vector: Sequence[LocalDirection]) -> Vector:
@@ -154,9 +135,6 @@ class PhasePolicy(Policy):
         #: (the array backend with numpy installed), else None; fused
         #: drivers key their internal representation off this.
         self.xp = sched.array_module
-        #: Whether restore steps are skipped instead of simulated
-        #: (``Scheduler(unchecked=True)``; never under cross-validation).
-        self.unchecked: bool = bool(getattr(sched, "unchecked", False))
         self._queue: "deque" = deque()
         #: The most recent row actually played (REPEAT/RESTORE base) --
         #: a direction vector, or a local sign row under ``xp``.
@@ -185,17 +163,7 @@ class PhasePolicy(Policy):
         """Enqueue a probe/REVERSEDROUND pair as one fused span whose
         harvest receives the *stretch outcome* (round 0 is the probe;
         the restore round's observations are never read, so on a
-        stretch-capable backend they are never materialised).  Under
-        ``unchecked`` execution the probe runs as a single-round span
-        and the restore is skipped (:meth:`push_restore`)."""
-        if self.unchecked:
-            def build_probe() -> Stretch:
-                row = vector() if callable(vector) else vector
-                return Stretch(row, 1)
-
-            self.push_stretch(build_probe, harvest)
-            self.push_restore()
-            return
+        stretch-capable backend they are never materialised)."""
 
         def build() -> Stretch:
             row = vector() if callable(vector) else vector
@@ -218,17 +186,7 @@ class PhasePolicy(Policy):
 
     def push_restore(self, k: int = 1) -> None:
         """Enqueue ``k`` REVERSEDROUNDs of the last played row as one
-        fused span (observations never materialise).  Under
-        ``unchecked`` execution the span is not simulated at all: its
-        provable net effect -- positions restore by rotation (Lemma 1)
-        -- is committed directly, and the skipped rounds appear in
-        neither the round count nor the logs."""
-        if self.unchecked:
-            self._queue.append((
-                _SkipStep(lambda: (opposite_row(self.last_vector), k)),
-                None,
-            ))
-            return
+        fused span (observations never materialise)."""
 
         def build() -> Stretch:
             return Stretch(opposite_row(self.last_vector), k)
@@ -314,11 +272,6 @@ class PhasePolicy(Policy):
                 f"{type(self).__name__} has no round queued"
             )
         vector = self._queue[0][0]
-        if isinstance(vector, _SkipStep):
-            raise ProtocolError(
-                "an unchecked skip step must be consumed by "
-                f"{type(self).__name__}.run(), not decided as a round"
-            )
         if isinstance(vector, _StretchStep):
             spec = vector.spec
             stretch = spec() if callable(spec) else spec
@@ -356,19 +309,10 @@ class PhasePolicy(Policy):
 
     def run(self) -> "PhasePolicy":
         """Execute every queued round (including any the harvests add),
-        then :meth:`finalize`; returns self for chaining.  Skip steps
-        (restores under ``unchecked`` execution) are consumed here
-        without a round: the span's net rotation commits directly."""
+        then :meth:`finalize`; returns self for chaining."""
         sched = self.sched
         queue = self._queue
         while queue:
-            head = queue[0][0]
-            if isinstance(head, _SkipStep):
-                queue.popleft()
-                row, k = head.build()
-                sched.skip_restoring(row, k)
-                self.last_vector = row
-                continue
             sched.run_round(self)
         self.finalize()
         return self

@@ -163,18 +163,6 @@ class BitExchangePolicy(PhasePolicy):
             if on_decoded is not None:
                 on_decoded(from_right, from_left)
 
-        if self.unchecked:
-            # Skip both restores; the decode needs no round of its own.
-            def harvest_probe1_decode(obs: Sequence[Observation]) -> None:
-                harvest_probe1(obs)
-                decode(obs)
-
-            self.push(probe_vector, harvest_probe0)
-            self.push_restore()
-            # After the skip, last_vector is already the inverse probe.
-            self.push(REPEAT, harvest_probe1_decode)
-            self.push_restore()
-            return
         self.push(probe_vector, harvest_probe0)
         self.push(RESTORE)
         # After the restore, last_vector is already the inverse probe.
@@ -242,54 +230,24 @@ class BitExchangePolicy(PhasePolicy):
             return Stretch(pairs=[(signs, 1), (-signs, 2), (signs, 1)])
 
         def harvest(result) -> None:
-            self._decode_exchange(
-                ctx.pop("bits"), result, 0, result, 2, on_decoded
-            )
-
-        if self.unchecked:
-            # Skip the two provably-restoring rounds: probe, rewind,
-            # inverse probe, rewind -- two executed rounds per bit.
-            def harvest_probe(result) -> None:
-                ctx["probe0"] = result
-
-            def build_inverse() -> Stretch:
-                return Stretch(self.last_vector, 1)
-
-            def harvest_decode(result) -> None:
-                self._decode_exchange(
-                    ctx.pop("bits"), ctx.pop("probe0"), 0,
-                    result, 0, on_decoded,
-                )
-
-            def build_probe() -> Stretch:
-                span = build()
-                return Stretch(span.pairs[0][0], 1)
-
-            self.push_stretch(build_probe, harvest_probe)
-            self.push_restore()
-            # After the skip, last_vector is the inverse probe row.
-            self.push_stretch(build_inverse, harvest_decode)
-            self.push_restore()
-            return
+            self._decode_exchange(ctx.pop("bits"), result, on_decoded)
 
         self.push_stretch(build, harvest)
 
     def _decode_exchange(
-        self, bits, res0, j0, res1, j1, on_decoded: Optional[Callable]
+        self, bits, result, on_decoded: Optional[Callable]
     ) -> None:
         """Decode one exchange from the two probe rounds' coll columns
-        (round ``j0`` of ``res0`` is the bit probe, round ``j1`` of
-        ``res1`` the inverse probe) and publish the result columns."""
+        (round 0 of the span ``result`` is the bit probe, round 2 the
+        inverse probe) and publish the result columns."""
         xp = self.xp
-        c0 = res0.coll_ints(j0)
-        c1 = res1.coll_ints(j1)
+        c0 = result.coll_ints(0)
+        c1 = result.coll_ints(2)
         if (
-            res0.np is not None
-            and res1.np is not None
+            result.np is not None
             and c0 is not None
             and c1 is not None
-            and res0.scale == self._scale
-            and res1.scale == self._scale
+            and result.scale == self._scale
         ):
             one = bits == 1
             coll_r = xp.where(one, c0, c1)
@@ -309,7 +267,7 @@ class BitExchangePolicy(PhasePolicy):
         else:
             # Span executed round by round (cross-validation) or
             # under a foreign scale: exact per-agent decode.
-            colls = (res0.colls(j0), res1.colls(j1))
+            colls = (result.colls(0), result.colls(2))
             from_right_col, from_left_col = self._decode_scalar(
                 bits.tolist(), colls
             )

@@ -129,19 +129,6 @@ class KinematicsBackend(ABC):
                 assert it agrees with the closed form (slow; tests).
         """
 
-    def commit_rotation(self, r: int) -> None:
-        """Advance the state by a bare rotation of ``r`` ring places.
-
-        By Lemma 1 a round's *entire* effect on the world is a rotation
-        of the position multiset, so a span whose observations are
-        never read (the trailing REVERSEDROUNDs of probe/restore pairs
-        under ``unchecked`` execution) can be applied as one rotation
-        without simulating any round.  No round is counted and no
-        observations exist; callers own the proof that the skipped
-        span's net rotation is exactly ``r``.
-        """
-        self.state.apply_rotation(r % self.state.n)
-
 
 def make_backend(spec: BackendSpec) -> "KinematicsBackend":
     """Resolve a backend spec: an instance, a name, or None (default).
@@ -506,22 +493,6 @@ class LatticeBackend(KinematicsBackend):
         state.commit_round(self._ring2[off:off + n], r)
         self._version = state.version
         return outcome
-
-    def commit_rotation(self, r: int) -> None:
-        """Bare-rotation commit on the integer representation: one
-        offset move plus a slice of the frozen base ring (no
-        arithmetic, no resync)."""
-        state = self.state
-        if state.version != self._version:
-            self._sync()
-        n = self.n
-        r %= n
-        off = self.offset + r
-        if off >= n:
-            off -= n
-        self.offset = off
-        state.commit_round(self._ring2[off:off + n], r)
-        self._version = state.version
 
     def _frac1(self, numerator: int) -> Fraction:
         """Interned ``Fraction(numerator, scale)``."""

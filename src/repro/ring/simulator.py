@@ -262,16 +262,15 @@ class RingSimulator:
         return outcomes
 
     def apply_restoring_span(self, row, k: int = 1) -> None:
-        """Apply a provably-restoring span's net rotation, unsimulated.
+        """Commit the net rotation of ``k`` rounds of ``row``, unsimulated.
 
-        The ``unchecked`` fast path: a span of ``k`` rounds of ``row``
-        whose observations are never read (the trailing REVERSEDROUNDs
-        of probe/restore pairs) affects the world only through its net
-        rotation (Lemma 1), so the backend commits that rotation
-        directly -- no collision resolution, no observations, and the
-        skipped rounds do **not** count toward
-        :attr:`rounds_executed`.  Callers own the proof that the span
-        really restores (the scheduler only routes restore steps here).
+        A round affects the world only through its rotation (Lemma 1),
+        so the span's end positions are a rotation of the start: no
+        collision resolution, no observations, and the rounds do **not**
+        count toward :attr:`rounds_executed`.  The commit goes through
+        :meth:`RingState.apply_rotation`; a backend that caches positions
+        resyncs on the state's version bump.  Its one caller is
+        :meth:`~repro.core.scheduler.Scheduler.skip_restoring`.
         """
         velocities = self._velocities_row(row)
         if isinstance(velocities, tuple):
@@ -281,7 +280,7 @@ class RingSimulator:
             pos = int((velocities > 0).sum())
             neg = int((velocities < 0).sum())
         r = ((pos - neg) * k) % self.state.n
-        self.backend.commit_rotation(r)
+        self.state.apply_rotation(r)
 
     def execute_objective(self, velocities: Sequence[int]) -> RoundOutcome:
         """Run one round from objective velocities (testing/tooling hook).

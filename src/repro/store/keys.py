@@ -2,12 +2,14 @@
 
 A run's result is a pure function of its *backend-independent* spec:
 protocol, ring size, model, seed, configuration generator, ID bound,
-common sense of direction, unchecked mode, and the phase plan the
-registry routes that setting to.  Backend, driver, executor kind and
-worker count are deliberately **excluded** from the key: results are
-property-tested bit-identical across every combination of them, so
-excluding them is what lets a report computed once on the array
-backend serve later fraction, callback and pooled requests.
+common sense of direction, and the phase plan the registry routes
+that setting to.  Backend, driver, executor kind and worker count are
+deliberately **excluded** from the key: results are property-tested
+bit-identical across every combination of them, so excluding them is
+what lets a report computed once on the array backend serve later
+fraction, callback and pooled requests.  The document also carries
+one constant field, left by a removed execution mode, so digests
+stored while that mode existed still address their entries.
 
 The key document is serialised as canonical JSON -- sorted keys,
 compact separators, ASCII only -- and hashed with SHA-256.  The exact
@@ -107,7 +109,8 @@ def key_document(spec: "SessionSpec") -> Dict[str, object]:
         "config": spec.config,
         "common_sense": spec.common_sense,
         "id_bound": spec.id_bound,
-        "unchecked": spec.unchecked,
+        # Constant: keeps digests stored before the mode's removal.
+        "unchecked": False,
         "phases": phase_plan(spec),
     }
     # The fault plan is part of what determines the outcome, so an

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.api.fleet import SessionSpec, run_session_spec
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.ring.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.store.keys import safe_key
 from repro.store.store import RunStore, default_cache_dir
@@ -108,8 +108,10 @@ def verify_entry(store: RunStore, digest: str) -> Dict[str, object]:
     A recorded backend that is no longer offered (entries written when
     ``lattice`` was a choice) recomputes on the default backend: run
     keys exclude the backend, so the stored result must still match.
-    A spec that cannot run is a not-ok row naming the error.  Returns
-    a JSON-ready row: ``{"digest", "ok", "detail"}``.
+    A spec that cannot run, or that :meth:`SessionSpec.from_dict`
+    refuses (one asking for a removed mode), is a not-ok row naming
+    the error.  Returns a JSON-ready row: ``{"digest", "ok",
+    "detail"}``.
     """
     envelope = store.load_entry(digest)
     if envelope is None:
@@ -123,6 +125,11 @@ def verify_entry(store: RunStore, digest: str) -> Dict[str, object]:
         return {
             "digest": digest, "ok": False,
             "detail": "envelope spec does not round-trip",
+        }
+    except ConfigurationError as exc:
+        return {
+            "digest": digest, "ok": False,
+            "detail": f"envelope spec refused: {exc}",
         }
     if spec.backend not in BACKEND_NAMES:
         spec = replace(spec, backend=DEFAULT_BACKEND)

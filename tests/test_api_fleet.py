@@ -31,6 +31,20 @@ class TestSessionSpec:
         assert SessionSpec.from_dict(spec.to_dict()) == spec
         json.dumps(spec.to_dict())
 
+    def test_from_dict_drops_stored_unchecked_false(self):
+        # Corpus entries and cache envelopes written while the unchecked
+        # mode existed carry the field; it must not break their replay.
+        spec = SessionSpec(n=8, seed=3, model="lazy")
+        stored = dict(spec.to_dict(), unchecked=False)
+        assert SessionSpec.from_dict(stored) == spec
+        assert stored["unchecked"] is False  # the caller's dict is kept
+        assert "unchecked" not in spec.to_dict()
+
+    def test_from_dict_rejects_unchecked_true(self):
+        stored = dict(SessionSpec(n=8).to_dict(), unchecked=True)
+        with pytest.raises(ConfigurationError, match="unchecked mode"):
+            SessionSpec.from_dict(stored)
+
     def test_run_session_spec_row_shape(self):
         row = run_session_spec(SessionSpec(n=7, model="basic", seed=0))
         assert set(row) == {"spec", "result", "seconds"}

@@ -35,6 +35,10 @@ class TestCli:
             "--seed", "3", "--json", "--backend", "fraction",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "protocol", "n", "model", "backend", "seed", "common_sense",
+            "driver", "phases", "result",
+        }
         assert payload["protocol"] == "location-discovery"
         assert payload["backend"] == "fraction"
         result = payload["result"]
@@ -248,9 +252,14 @@ class TestCli:
         (["table1", "--odd", "9,x"], "--odd: expected comma-separated"),
         (["table2", "--even", "8,x"], "--even: expected comma-separated"),
         (["sweep", "--executor", "thread"], "invalid choice: 'thread'"),
+        (["run", "coordination", "--n", "8", "--unchecked"],
+         "unrecognized arguments: --unchecked"),
+        (["sweep", "--sizes", "8", "--unchecked"],
+         "unrecognized arguments: --unchecked"),
     ], ids=["sweep-workers-0", "table1-odd-3", "table2-even-2",
             "figures-n-3", "sweep-sizes", "sweep-seeds", "table1-odd",
-            "table2-even", "sweep-thread"])
+            "table2-even", "sweep-thread", "run-unchecked",
+            "sweep-unchecked"])
     def test_bad_input_is_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -439,6 +448,40 @@ class TestCliCache:
         (row,) = json.loads(captured.out)["rows"]
         assert row["ok"] is False
         assert row["detail"].startswith("recompute failed: ConfigurationError")
+
+    def test_cache_verify_survives_a_retired_unchecked_entry(
+        self, capsys, tmp_path
+    ):
+        from repro.store.store import RunStore
+
+        cache = ["--cache", "--cache-dir", str(tmp_path)]
+        assert main(self.RUN + cache) == 0
+        assert main(["run", "coordination", "--n", "8"] + cache) == 0
+        capsys.readouterr()
+        # Turn the coordination entry into one the unchecked mode wrote.
+        store = RunStore(tmp_path)
+        retired = None
+        for digest in store.iter_digests():
+            path = store.entry_path(digest)
+            envelope = json.loads(path.read_text())
+            if envelope["spec"]["protocol"] == "coordination":
+                envelope["spec"]["unchecked"] = True
+                envelope["key"]["unchecked"] = True
+                path.write_text(json.dumps(envelope))
+                retired = digest
+        assert retired is not None
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rows = {row["digest"]: row for row in json.loads(captured.out)["rows"]}
+        assert len(rows) == 2
+        assert rows.pop(retired) == {
+            "digest": retired, "ok": False,
+            "detail": "envelope spec refused: "
+                      "the unchecked mode has been removed",
+        }
+        (other,) = rows.values()
+        assert other["ok"] is True
 
     def test_cache_verify_sample(self, capsys, tmp_path):
         cache = ["--cache", "--cache-dir", str(tmp_path)]

@@ -1,4 +1,4 @@
-"""Speculative fused stretches and unchecked execution.
+"""Speculative fused stretches and the probe/restore path.
 
 Three guarantees are pinned here:
 
@@ -12,22 +12,29 @@ Three guarantees are pinned here:
 * **Equivalence under chunking** -- the speculative sweeps stay
   bit-exact against the callback drivers even when forced to speculate
   in tiny multi-chunk spans (truncation in the middle of a chunk).
-* **Unchecked execution** -- skipping the provably-restoring rounds of
-  probe/restore pairs preserves final positions and protocol results
-  across all three backends while executing strictly fewer rounds.
+* **Probe/restore** -- every REVERSEDROUND is executed and counted,
+  positions come back bit-exactly on both backends and all three
+  models, and on array the restore rounds are never materialised.
+  ``Scheduler.skip_restoring`` (no driver calls it) commits the same
+  positions as the simulated span without counting its rounds.
 """
+
+import random
 
 import pytest
 
 from repro.api import RingSession, SpeculativeStretch, Stretch
+from repro.core.population import LazyObsRow
 from repro.core.scheduler import Scheduler
 from repro.protocols.policies.base import PhasePolicy
 from repro.ring.configs import random_configuration
 from repro.types import LocalDirection, Model
 
-R, L = LocalDirection.RIGHT, LocalDirection.LEFT
+R, L, I = LocalDirection.RIGHT, LocalDirection.LEFT, LocalDirection.IDLE
 
 BACKENDS = ("array", "fraction")
+MODELS = (Model.BASIC, Model.LAZY, Model.PERCEPTIVE)
+MODEL_IDS = [model.value for model in MODELS]
 
 
 def fresh_sched(backend, n=8, seed=2, model=Model.PERCEPTIVE, **kwargs):
@@ -160,93 +167,93 @@ class TestSpeculativeSweepChunking:
         assert fingerprints["native"] == fingerprints["callback"]
 
 
-def result_core(session, result):
-    """The unchecked-invariant part of a run: world + protocol output
-    (round counts and logs are legitimately different)."""
-    payload = result.to_dict()
-    payload.pop("rounds", None)
-    payload.pop("rounds_by_phase", None)
-    return (session.state.snapshot(), payload)
+class TestProbeRestore:
+    """Every REVERSEDROUND is executed and counted.  A probe/restore
+    pair brings positions back bit-exactly on both backends and all
+    three models, and on array the restore rounds are filed as lazy
+    rows that nothing reads."""
 
+    VEC = [R, L, R, R, L, R, R, L]  # rotation index 6 at seed 2
 
-class TestUnchecked:
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize(
-        "protocol,model,n",
-        [
-            ("coordination", "perceptive", 12),
-            ("location-discovery", "perceptive", 12),
-            ("coordination", "lazy", 9),
-        ],
-    )
-    def test_positions_and_results_restore(
-        self, protocol, model, n, backend
+    def test_push_probe_restores_positions_in_two_rounds(
+        self, backend, model
     ):
-        checked = RingSession(n=n, model=model, backend=backend, seed=7)
-        unchecked = RingSession(
-            n=n, model=model, backend=backend, seed=7, unchecked=True,
-        )
-        r_checked = checked.run(protocol)
-        r_unchecked = unchecked.run(protocol)
-        assert result_core(unchecked, r_unchecked) == result_core(
-            checked, r_checked
-        )
-        # The fast mode really skipped something.
-        assert unchecked.rounds < checked.rounds
-
-    def test_unchecked_identical_across_backends(self):
-        fingerprints = []
-        for backend in BACKENDS:
-            session = RingSession(
-                n=12, model="perceptive", backend=backend, seed=3,
-                unchecked=True,
-            )
-            result = session.run("location-discovery")
-            fingerprints.append((
-                session.rounds,
-                result_core(session, result),
-                [dict(v.memory) for v in session.views],
-                [list(v.log) for v in session.views],
-            ))
-        assert fingerprints[0] == fingerprints[1]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_push_probe_restores_positions_in_one_round(self, backend):
-        sched = fresh_sched(backend, unchecked=True)
+        sched = fresh_sched(backend, model=model)
         before = sched.state.snapshot()
         policy = PhasePolicy(sched)
         seen = []
-        policy.push_probe([R, L] * 4, lambda obs: seen.append(len(obs)))
-        policy.run()
-        assert seen == [8]
-        assert sched.rounds == 1  # the restore never ran ...
-        assert sched.state.snapshot() == before  # ... yet positions restored
-
-    def test_cross_validation_disables_skipping(self):
-        sched = fresh_sched("array", cross_validate=True, unchecked=True)
-        assert sched.unchecked is False
-        policy = PhasePolicy(sched)
-        policy.push_probe([R, L] * 4)
+        policy.push_probe(self.VEC, seen.append)
         policy.run()
         assert sched.rounds == 2
+        assert sched.state.snapshot() == before
+        # The harvest saw the probe round exactly as the spec plays it,
+        # and that round really moved the agents.
+        ref = fresh_sched("fraction", model=model)
+        outcome = ref.simulator.execute(self.VEC)
+        assert ref.state.snapshot() != before
+        assert len(seen) == 1
+        assert tuple(seen[0]) == outcome.observations
 
-    def test_cli_unchecked_smoke(self, capsys):
-        import json
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_push_restore_k_undoes_k_probe_rounds(self, backend, model):
+        for k in (1, 2, 3):
+            sched = fresh_sched(backend, model=model)
+            before = sched.state.snapshot()
+            policy = PhasePolicy(sched)
+            policy.push_stretch(Stretch(self.VEC, k))
+            policy.push_restore(k)
+            policy.run()
+            assert sched.rounds == 2 * k
+            assert sched.state.snapshot() == before
 
-        from repro.__main__ import main
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_restore_rows_stay_unread_on_array(self, model):
+        sched = fresh_sched("array", model=model)
+        policy = PhasePolicy(sched)
+        policy.push_probe(self.VEC, lambda obs: None)
+        policy.push_stretch(Stretch(self.VEC, 2))
+        policy.push_restore(2)
+        policy.run()
+        rows = sched.population.history._rows
+        assert len(rows) == sched.rounds == 6
+        assert all(isinstance(row, LazyObsRow) for row in rows)
+        # The probe harvest read round 0; rounds 1, 4 and 5 restore.
+        assert rows[0]._result._obs.get(rows[0]._j) is not None
+        for j in (1, 4, 5):
+            assert rows[j]._result._obs.get(rows[j]._j) is None
 
-        assert main([
-            "run", "coordination", "--n", "8", "--unchecked", "--json",
-        ]) == 0
-        fast = json.loads(capsys.readouterr().out)
-        assert fast["unchecked"] is True
-        assert main(["run", "coordination", "--n", "8", "--json"]) == 0
-        ref = json.loads(capsys.readouterr().out)
-        assert fast["result"]["leader_id"] == ref["result"]["leader_id"]
-        assert fast["result"]["rounds"] < ref["result"]["rounds"]
 
-    def test_sweep_unchecked_spec(self):
-        from repro.api import sweep
+class TestSkipRestoring:
+    """``Scheduler.skip_restoring`` commits a span's net rotation
+    without simulating it: the positions equal the simulated span's,
+    no round is counted, and later rounds continue bit-exactly (the
+    array backend resyncs on the state's version bump)."""
 
-        specs = sweep(sizes=(8,), seeds=(0,), unchecked=True)
-        assert all(spec.unchecked for spec in specs)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_simulated_restore_span(self, backend):
+        rng = random.Random(20260)
+        for _ in range(40):
+            n = rng.randint(5, 12)
+            seed = rng.randrange(1000)
+            model = rng.choice(MODELS)
+            dirs = [R, L, I] if model.allows_idle else [R, L]
+            probe = [rng.choice(dirs) for _ in range(n)]
+            restore = [d.opposite() for d in probe]
+            k = rng.randint(1, 4)
+            skipped = fresh_sched(backend, n=n, seed=seed, model=model)
+            simulated = fresh_sched("fraction", n=n, seed=seed, model=model)
+            for sched in (skipped, simulated):
+                sched.run_stretch(Stretch(probe, 1))
+            skipped.skip_restoring(restore, k)
+            simulated.run_stretch(Stretch(restore, k))
+            assert skipped.state.snapshot() == simulated.state.snapshot()
+            assert skipped.rounds == 1
+            assert simulated.rounds == 1 + k
+            after = skipped.run_stretch(Stretch(probe, 2))
+            ref = simulated.run_stretch(Stretch(probe, 2))
+            assert skipped.state.snapshot() == simulated.state.snapshot()
+            for j in range(2):
+                assert after.observations(j) == ref.observations(j)

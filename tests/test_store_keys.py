@@ -96,7 +96,6 @@ class TestResultDeterminingFieldsKey:
         ("config", "jittered"),
         ("id_bound", 4096),
         ("common_sense", True),
-        ("unchecked", True),
     ])
     def test_changing_field_changes_digest(self, field, value):
         assert run_key(replace(SPEC, **{field: value})) != PINNED_DIGEST

@@ -95,7 +95,7 @@ class TestComputeOrFetch:
         SessionSpec(n=9, protocol="location-discovery", model="lazy",
                     seed=0),
         SessionSpec(n=7, protocol="location-discovery", model="basic",
-                    seed=5, unchecked=True),
+                    seed=5),
     ])
     def test_across_protocols_and_models(self, store, spec):
         computed, _, _ = compute_or_fetch(spec, store=store)
@@ -144,6 +144,25 @@ class TestVerifyEntry:
         # must match the stored result.
         _, _, digest = compute_or_fetch(SPEC, store=store)
         self.edit_spec(store, digest, backend=backend)
+        row = verify_entry(store, digest)
+        assert row["ok"] is True, row
+
+    def test_retired_unchecked_entry_is_a_not_ok_row(self, store):
+        # An entry written with the unchecked mode on cannot be
+        # recomputed now; the row says so and names the reason.
+        _, _, digest = compute_or_fetch(SPEC, store=store)
+        self.edit_spec(store, digest, unchecked=True)
+        row = verify_entry(store, digest)
+        assert row["ok"] is False
+        assert row["detail"] == (
+            "envelope spec refused: the unchecked mode has been removed"
+        )
+
+    def test_stored_unchecked_false_still_verifies(self, store):
+        # Entries written before the mode was removed record
+        # "unchecked": false; their digests and results stay valid.
+        _, _, digest = compute_or_fetch(SPEC, store=store)
+        self.edit_spec(store, digest, unchecked=False)
         row = verify_entry(store, digest)
         assert row["ok"] is True, row
 
