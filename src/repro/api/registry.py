@@ -307,15 +307,19 @@ def _location_discovery_plan(
 def _collect_location_discovery(
     sched: Scheduler, rounds_by_phase: Dict[str, int]
 ) -> LocationDiscoveryResult:
-    gaps = []
+    from repro.protocols.policies.location_discovery import (
+        collect_gap_rows,
+    )
+
+    cells = []
     for view in sched.views:
         if KEY_LD_GAPS not in view.memory:
             raise ProtocolError("an agent ended without a gap vector: bug")
-        gaps.append(list(view.memory[KEY_LD_GAPS]))
+        cells.append(view.memory[KEY_LD_GAPS])
     return LocationDiscoveryResult(
         rounds=sched.rounds,
         rounds_by_phase=rounds_by_phase,
-        gaps_by_agent=gaps,
+        gaps_by_agent=collect_gap_rows(cells),
     )
 
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.agent import AgentView
 from repro.exceptions import ProtocolError
@@ -77,6 +78,206 @@ class CoordinationResult:
         )
 
 
+def rotation_sign(first: Sequence[object], second: Sequence[object]) -> int:
+    """The direction ``second`` is ``first`` rotated in, as a sign.
+
+    -1 when ``second`` is ``first`` rotated right by one place (its
+    entry k is ``first[k - 1]``), else +1: left by one, or neither.
+    Agent 1's gap vector is agent 0's rotated left by one when the
+    common frame runs with the ring's index order, right by one when
+    it runs against it.
+    """
+    first, second = list(first), list(second)
+    if len(first) < 2 or second == first[1:] + first[:1]:
+        return 1
+    return -1 if second == first[-1:] + first[:-1] else 1
+
+
+def _rotation_split(rows: Iterable[Sequence[object]]
+                    ) -> Tuple[List[object], int, int, Dict[int, List[object]]]:
+    """``(row 0, row count, sign, outliers)`` of any rows.
+
+    Row 1 picks the sign (:func:`rotation_sign`); every later row is
+    compared with the rotation of row 0 by ``sign * i`` as one list
+    compare, and a row that differs is kept among the outliers.
+    """
+    it = iter(rows)
+    first = next(it, None)
+    if first is None:
+        return [], 0, 1, {}
+    base = list(first)
+    width = len(base)
+    doubled = base + base
+    sign = 1
+    outliers: Dict[int, List[object]] = {}
+    count = 1
+    for i, row in enumerate(it, 1):
+        row = row if type(row) is list else list(row)
+        if i == 1:
+            sign = rotation_sign(base, row)
+        k = (sign * i) % width if width else 0
+        if row != doubled[k:k + width]:
+            outliers[i] = row
+        count += 1
+    return base, count, sign, outliers
+
+
+class GapRows(SequenceABC):
+    """Every agent's gap vector, held as one base row plus rotations.
+
+    In the agreed common frame, agent i's gap vector is agent 0's
+    rotated left by ``sign * i`` places.  ``sign`` is +1 when the
+    common clockwise runs with the ring's index order, and -1 when it
+    runs against it.  So the rows are stored in three parts:
+
+    * ``base``: row 0, one list of interned :class:`Fraction` values;
+    * ``sign``: the direction of the rotation;
+    * the *outliers*: the agents whose vector is not that rotation (a
+      doctored run, say), each with its own row.
+
+    The container is read-only.  Every row it hands out is a fresh
+    list, a slice of the doubled base, and it compares equal (from
+    either side) to the list of lists it stands for.
+
+    :meth:`from_rows` builds one from any rows, and :meth:`from_strings`
+    from :meth:`to_strings` output; the sweeps' integer harvest builds
+    one directly, after checking the rotations on its numerators.
+    """
+
+    __slots__ = ("_doubled", "_width", "_count", "_sign", "_outliers")
+
+    def __init__(
+        self,
+        base: Sequence[Fraction] = (),
+        count: Optional[int] = None,
+        sign: int = 1,
+        outliers: Optional[Dict[int, Sequence[Fraction]]] = None,
+    ) -> None:
+        base = list(base)
+        count = len(base) if count is None else count
+        if sign not in (1, -1):
+            raise ValueError(f"rotation sign must be 1 or -1, not {sign!r}")
+        rows = {i: list(row) for i, row in (outliers or {}).items()}
+        if any(not 0 < i < count for i in rows):
+            raise ValueError(f"outlier agents must lie in 1..{count - 1}")
+        self._doubled: List[Fraction] = base + base
+        self._width = len(base)
+        self._count = count
+        self._sign = sign
+        self._outliers: Dict[int, List[Fraction]] = rows
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[Fraction]]) -> "GapRows":
+        """The reference constructor: any rows, rotations or not.
+
+        Each row is compared with its rotation of row 0 as one list
+        compare (interned values mostly stop at identity); a row that
+        differs becomes an outlier, so ``from_rows(rows) == rows``.
+        """
+        base, count, sign, outliers = _rotation_split(rows)
+        return cls(base, count, sign, outliers)  # type: ignore[arg-type]
+
+    @classmethod
+    def from_strings(cls, rows: Iterable[Sequence[object]]) -> "GapRows":
+        """Parse ``"p/q"`` rows (:meth:`to_strings` output).
+
+        Row 0 parses once.  Every other row's strings are compared with
+        the rotation of row 0's, and only a row that differs is parsed
+        on its own; equal strings share one :class:`Fraction`.
+        """
+        base, count, sign, outliers = _rotation_split(rows)
+        values: Dict[object, Fraction] = {}
+
+        def parse(texts: List[object]) -> List[Fraction]:
+            out = []
+            for text in texts:
+                value = values.get(text)
+                if value is None:
+                    value = values[text] = Fraction(str(text))
+                out.append(value)
+            return out
+
+        return cls(
+            parse(base), count, sign,
+            {i: parse(row) for i, row in outliers.items()},
+        )
+
+    @property
+    def base(self) -> List[Fraction]:
+        """Row 0 (a fresh list)."""
+        return self._doubled[:self._width]
+
+    @property
+    def sign(self) -> int:
+        """+1 or -1: row i is ``base`` rotated left by ``sign * i``."""
+        return self._sign
+
+    @property
+    def outliers(self) -> frozenset:
+        """The agents whose row is not the rotation of ``base``."""
+        return frozenset(self._outliers)
+
+    def to_strings(self) -> List[List[str]]:
+        """Every row as exact ``"p/q"`` strings.
+
+        The base row renders once and each rotation is a slice of it
+        (the same rows over the rendered values), so the rows share at
+        most ``len(base)`` string objects besides the outliers' own.
+        """
+        rendered = GapRows(
+            [str(g) for g in self.base], self._count, self._sign,
+            {i: [str(g) for g in row] for i, row in self._outliers.items()},
+        )
+        return list(rendered)  # type: ignore[arg-type]
+
+    def _row(self, i: int) -> List[Fraction]:
+        row = self._outliers.get(i)
+        if row is not None:
+            return list(row)
+        width = self._width
+        k = (self._sign * i) % width if width else 0
+        return self._doubled[k:k + width]
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(self._count))]
+        i = index.__index__()
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("gap row index out of range")
+        return self._row(i)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[List[Fraction]]:
+        return (self._row(i) for i in range(self._count))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GapRows):
+            if (
+                self._count == other._count
+                and self._sign == other._sign
+                and self._doubled == other._doubled
+                and self._outliers == other._outliers
+            ):
+                return True
+        elif not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(other) == self._count and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"GapRows(base={self.base!r}, count={self._count}, "
+            f"sign={self._sign}, outliers={self._outliers!r})"
+        )
+
+
 @dataclass
 class LocationDiscoveryResult:
     """Outcome of location discovery.
@@ -88,26 +289,32 @@ class LocationDiscoveryResult:
             the gap vector that agent reconstructed, expressed in the
             common frame starting from its own slot: entry k is the arc
             from the k-th agent to the (k+1)-th agent, counting common-
-            clockwise from the reconstructing agent itself.
+            clockwise from the reconstructing agent itself.  Held as a
+            read-only :class:`GapRows` (one base row plus rotations; any
+            rows passed in are converted): each row read is a fresh
+            list, and the whole compares equal to the list of lists.
     """
 
     rounds: int
     rounds_by_phase: Dict[str, int] = field(default_factory=dict)
-    gaps_by_agent: List[List[Fraction]] = field(default_factory=list)
+    gaps_by_agent: GapRows = field(default_factory=GapRows)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.gaps_by_agent, GapRows):
+            self.gaps_by_agent = GapRows.from_rows(self.gaps_by_agent)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload (consumed by RunReport and ``--json``).
 
         Gaps are exact ``"p/q"`` strings -- floats would destroy the
-        bit-exactness the cross-backend tests rely on.
+        bit-exactness the cross-backend tests rely on.  Each distinct
+        value renders once (:meth:`GapRows.to_strings`).
         """
         return {
             "kind": "location_discovery",
             "rounds": self.rounds,
             "rounds_by_phase": dict(self.rounds_by_phase),
-            "gaps_by_agent": [
-                [str(g) for g in gaps] for gaps in self.gaps_by_agent
-            ],
+            "gaps_by_agent": self.gaps_by_agent.to_strings(),
         }
 
     @classmethod
@@ -116,7 +323,8 @@ class LocationDiscoveryResult:
 
         ``"p/q"`` strings parse back to exact :class:`Fraction` values,
         so a fetched result round-trips byte-identically through
-        :meth:`to_dict`.
+        :meth:`to_dict`; rows that are rotations of row 0 are not
+        parsed again (:meth:`GapRows.from_strings`).
         """
         return cls(
             rounds=int(data["rounds"]),  # type: ignore[arg-type]
@@ -124,10 +332,9 @@ class LocationDiscoveryResult:
                 str(name): int(rounds)  # type: ignore[arg-type]
                 for name, rounds in dict(data["rounds_by_phase"]).items()  # type: ignore[arg-type]
             },
-            gaps_by_agent=[
-                [Fraction(str(gap)) for gap in gaps]
-                for gaps in data["gaps_by_agent"]  # type: ignore[union-attr]
-            ],
+            gaps_by_agent=GapRows.from_strings(
+                data["gaps_by_agent"]  # type: ignore[arg-type]
+            ),
         )
 
 

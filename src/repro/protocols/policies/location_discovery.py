@@ -22,9 +22,14 @@ work stops -- the harvest just files the matrix (plus the shared
 :class:`LazyGapColumn` views that materialise interned Fractions only
 when some consumer actually reads them (mirroring the
 :class:`~repro.core.population.LazyObsRow` pattern for observation
-rows).  The rotation-2 circulant inversion likewise runs on raw
-numerators (:func:`~repro.analysis.linear_system.
-solve_cyclic_pair_sums_ints`).  ``engine="fraction"`` forces the
+rows).  The result collect reads no view either: in the common frame
+slot s's column is slot 0's rotated by ``sign * s``, which
+:func:`collect_gap_rows` checks on every integer cell before handing
+back a :class:`~repro.protocols.base.GapRows` (one base row plus
+rotations).  The rotation-2 sweep checks the same structure on its
+reordered pair sums and inverts one circulant on raw numerators
+(:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums_ints`)
+for every slot that passes.  ``engine="fraction"`` forces the
 previous eager Fraction-list harvest -- the executable spec and the
 benchmark's baseline side.
 """
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.linear_system import (
     solve_cyclic_pair_sums,
@@ -42,7 +47,13 @@ from repro.analysis.linear_system import (
 from repro.core.population import MISSING
 from repro.core.scheduler import Scheduler
 from repro.exceptions import InfeasibleProblemError, ProtocolError
-from repro.protocols.base import KEY_FRAME_FLIP, KEY_LD_GAPS, KEY_LEADER
+from repro.protocols.base import (
+    KEY_FRAME_FLIP,
+    KEY_LD_GAPS,
+    KEY_LEADER,
+    GapRows,
+    rotation_sign,
+)
 from repro.protocols.policies.base import (
     IDLE,
     LEFT,
@@ -51,6 +62,7 @@ from repro.protocols.policies.base import (
     common_dists,
     require_column,
 )
+from repro.ring.arrayops import get_numpy
 from repro.ring.stretch import SpeculativeStretch
 from repro.types import Model
 
@@ -94,6 +106,71 @@ def _slot0_common(result, j: int, flip0: bool, cache: Dict[int, Fraction]):
     if flip0 and d != 0:
         d = Fraction(1) - d
     return d
+
+
+def _block_column(blocks: Sequence[object], slot: int) -> List[int]:
+    """Slot's numerators down a list of row blocks, in row order."""
+    out: List[int] = []
+    for block in blocks:
+        if isinstance(block, list):
+            out.extend(row[slot] for row in block)
+        else:
+            out.extend(block[:, slot].tolist())  # type: ignore[index]
+    return out
+
+
+def _rotation_check(blocks: Sequence[object], n: int
+                    ) -> Tuple[List[int], int, Set[int]]:
+    """``(column 0, sign, outliers)`` of integer row blocks.
+
+    ``blocks`` hold the rows (one per round, one cell per slot) in
+    order, numpy matrices or lists of int rows.  Column 1 picks the
+    sign (:func:`~repro.protocols.base.rotation_sign`); the outliers
+    are the slots whose column is not column 0 rotated by
+    ``sign * slot``.  Slot s's cell in row t must be entry
+    ``(t + sign * s) % n`` of column 0, so each row is a window of the
+    doubled column 0: a numpy block is checked in one vectorised
+    compare against a strided view of those windows, a list block in
+    one list compare per row.  Every cell is checked.  When the rows
+    are not a ring's worth (``len(base) != n``) nothing is a rotation
+    and every slot but 0 is an outlier.
+    """
+    base = _block_column(blocks, 0)
+    sign = rotation_sign(base, _block_column(blocks, 1)) if n > 1 else 1
+    if len(base) != n:
+        return base, sign, set(range(1, n))
+    np = get_numpy()
+    doubled = base + base
+    outliers: Set[int] = set()
+    windows = None
+    start = 0
+    for block in blocks:
+        k = len(block)  # type: ignore[arg-type]
+        if isinstance(block, list):
+            for t, row in enumerate(block, start):
+                window = (
+                    doubled[t:t + n] if sign > 0
+                    else doubled[t + 1:t + n + 1][::-1]
+                )
+                if row != window:
+                    outliers.update(
+                        s for s, (a, b) in enumerate(zip(row, window))
+                        if a != b
+                    )
+        else:
+            if windows is None:
+                windows = np.asarray(doubled, dtype=block.dtype)  # type: ignore[attr-defined]
+            # view[s, j] = doubled[start + j + s] (sign +1) or
+            # doubled[start + j + n - s] (sign -1).
+            view = np.lib.stride_tricks.sliding_window_view(windows, k)
+            view = (
+                view[start:start + n] if sign > 0
+                else view[start + 1:start + n + 1][::-1]
+            )
+            matches = (block == view.T).all(axis=0)
+            outliers.update(np.flatnonzero(~matches).tolist())
+        start += k
+    return base, sign, outliers
 
 
 class _GapHarvest:
@@ -171,13 +248,7 @@ class _GapHarvest:
 
     def column_ints(self, slot: int) -> List[int]:
         """Slot's collected numerators over ``scale``, in round order."""
-        out: List[int] = []
-        for block in self.blocks:
-            if isinstance(block, list):
-                out.extend(row[slot] for row in block)
-            else:
-                out.extend(block[:, slot].tolist())
-        return out
+        return _block_column(self.blocks, slot)
 
     def column(self, slot: int) -> List[Fraction]:
         """Slot's collected gaps as interned Fractions."""
@@ -190,6 +261,97 @@ class _GapHarvest:
                 value = cache[v] = Fraction(v, scale)
             cells.append(value)
         return cells
+
+    def gap_rows(self) -> GapRows:
+        """The rotation-1 sweep's result rows, read off the harvest.
+
+        Slot s collects the ring's gaps from its own slot, so its
+        column is slot 0's rotated by ``sign * s``.  That is checked on
+        every integer cell (:func:`_rotation_check`); only slot 0 and a
+        slot that fails the check materialise Fractions, and no
+        :class:`LazyGapColumn` is read.
+        """
+        _base, sign, outliers = _rotation_check(self.blocks, self.n)
+        return GapRows(
+            self.column(0), self.n, sign,
+            {slot: self.column(slot) for slot in sorted(outliers)},
+        )
+
+    def take_pair_sum_gaps(self) -> List[List[Fraction]]:
+        """Every slot's gaps from its rotation-2 pair sums.
+
+        Round t's pair sum belongs at index ``(2t) % rounds`` of the
+        slot's pair-sum vector.  After that reorder (one fancy index
+        per numpy block; the harvest's blocks are released as they are
+        copied, so the harvest is empty afterwards) slot s's vector is
+        slot 0's rotated by ``sign * s``, which is checked on every
+        cell.  Slot 0's circulant is solved once and every verified
+        slot gets the same rotation of its solution; a slot that fails
+        the check keeps its own solve.
+        """
+        count, n = self.rounds, self.n
+        blocks = self.blocks
+        np = get_numpy()
+        # Rows no round lands on stay zero: with an even count the
+        # reorder is no permutation, and the solve raises
+        # SingularSystemError as it always has.
+        ordered: object
+        if np is None or all(isinstance(b, list) for b in blocks):
+            rows: List[object] = [[0] * n] * count
+            t = 0
+            for block in blocks:
+                for row in block:  # type: ignore[attr-defined]
+                    rows[(2 * t) % count] = row
+                    t += 1
+            blocks.clear()
+            ordered = rows
+        else:
+            dtype = next(b.dtype for b in blocks if not isinstance(b, list))  # type: ignore[attr-defined]
+            matrix = np.zeros((count, n), dtype=dtype)
+            start = 0
+            while blocks:
+                block = blocks.pop(0)
+                k = len(block)  # type: ignore[arg-type]
+                matrix[(2 * np.arange(start, start + k)) % count] = block
+                start += k
+            ordered = matrix
+        self.rounds = 0
+        ordered_blocks = [ordered]
+        base, sign, outliers = _rotation_check(ordered_blocks, n)
+        cache: Dict[int, Fraction] = {}
+
+        def solve(sums: List[int]) -> List[Fraction]:
+            return solve_cyclic_pair_sums_ints(sums, self.scale, cache=cache)
+
+        # Rotated pair sums solve to the same rotation of the gaps, so
+        # the rows are slot 0's solution's rotations, as in a result.
+        return list(GapRows(solve(base), n, sign, {
+            slot: solve(_block_column(ordered_blocks, slot))
+            for slot in sorted(outliers)
+        }))
+
+
+def collect_gap_rows(cells: Sequence[object]) -> GapRows:
+    """The ``gaps_by_agent`` rows of a finished location discovery.
+
+    ``cells`` are the agents' ``ld.gaps`` values.  When they are the
+    rotation-1 sweep's own views, one per slot of one harvest, the rows
+    come straight off its integer blocks (:meth:`_GapHarvest.gap_rows`);
+    anything else (plain lists from Algorithm 6, the rotation-2 sweep,
+    the ``fraction`` backend or the callback drivers, or a doctored
+    cell) goes through the reference :meth:`GapRows.from_rows`.
+    """
+    first = cells[0] if cells else None
+    if isinstance(first, LazyGapColumn):
+        harvest = first._harvest
+        if all(
+            type(cell) is LazyGapColumn
+            and cell._harvest is harvest
+            and cell._slot == slot
+            for slot, cell in enumerate(cells)
+        ):
+            return harvest.gap_rows()
+    return GapRows.from_rows(cells)  # type: ignore[arg-type]
 
 
 class LazyGapColumn(SequenceABC):
@@ -214,11 +376,6 @@ class LazyGapColumn(SequenceABC):
         if cells is None:
             cells = self._cells = self._harvest.column(self._slot)
         return cells
-
-    def ints(self) -> List[int]:
-        """The raw numerators over the harvest's ``scale`` (no
-        Fractions materialise)."""
-        return self._harvest.column_ints(self._slot)
 
     def __getitem__(self, index):
         return self._materialise()[index]
@@ -420,7 +577,7 @@ def sweep_rotation_two(
         flips, [RIGHT if lead else LEFT for lead in is_leader]
     )
     # n pair sums cover every gap exactly twice (odd n): total 2.
-    collected, rounds, _totals, scale = _sweep_gaps(
+    collected, rounds, _totals, _scale = _sweep_gaps(
         sched, vector, flips, Fraction(2), "rotation-2",  # lint: allow[fraction-hot-path] -- the two-full-turns target constant, built once per sweep at the call boundary
         want_totals=False, engine=engine,
     )
@@ -428,20 +585,9 @@ def sweep_rotation_two(
     gaps_column: List[List[Fraction]] = []
     if collected and isinstance(collected[0], LazyGapColumn):
         # Integer mode: reorder and invert the circulant on raw
-        # numerators; the gap Fractions materialise once, shared
-        # across slots (every slot recovers the same n gap values).
-        solve_cache: Dict[int, Fraction] = {}
-        for column in collected:
-            nums = column.ints()
-            count = len(nums)
-            ordered_ints: List[int] = [0] * count
-            for t, value in enumerate(nums):
-                ordered_ints[(2 * t) % count] = value
-            gaps_column.append(
-                solve_cyclic_pair_sums_ints(
-                    ordered_ints, scale, cache=solve_cache
-                )
-            )
+        # numerators, once for every slot whose pair sums are slot 0's
+        # rotated (the views are dropped: the harvest is consumed).
+        gaps_column = collected[0]._harvest.take_pair_sum_gaps()
     else:
         for pair_sums in collected:
             count = len(pair_sums)

@@ -367,9 +367,6 @@ class TestColumnarSweepHarvest:
         column = sched.population.get_column(KEY_LD_GAPS)
         cells = column[0]
         assert isinstance(cells, LazyGapColumn)
-        # ints() exposes the raw numerators without materialising.
-        nums = cells.ints()
-        assert all(type(v) is int for v in nums)
         assert cells._cells is None
         # Reads materialise interned Fractions; equality works against
         # plain lists from either side, and mismatches stay False.
