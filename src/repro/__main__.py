@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import List, Optional
 
 from repro.exceptions import (
@@ -69,6 +70,21 @@ def _sizes(spec: str) -> List[int]:
 
 def _names(spec: str) -> List[str]:
     return [part.strip() for part in spec.split(",") if part.strip()]
+
+
+def _print_json(payload: object) -> None:
+    """Print ``payload`` as ``json.dumps(payload, indent=2)`` would,
+    without building the whole document: the encoder's chunks are
+    written in batches of 65536 (one write per chunk is slower still).
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    write = sys.stdout.write
+    while True:
+        batch = "".join(islice(chunks, 65536))
+        if not batch:
+            break
+        write(batch)
+    write("\n")
 
 
 def _emit_rows(args: argparse.Namespace, rows, title: str) -> None:
@@ -238,7 +254,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
                 "plan": json.loads(session.faults.canonical()),
                 "outcome": "completed",
             }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return
     print(f"n={args.n}, model={args.model}, N={session.state.id_bound}, "
           f"backend={session.backend_name}, driver={session.driver}")

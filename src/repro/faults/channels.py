@@ -21,10 +21,14 @@ LEFT, then the reversed round restores every position (Lemma 1: a
 round's entire effect is a rotation, so the reverse round undoes it).
 Slots therefore cost real rounds, collide through the real collision
 engine, and are subject to an active fault plan like any other round.
-Runs of slots with no transmitter are fused into plain
-:class:`~repro.ring.stretch.Stretch` spans of listen pairs: the MAC
-state fixes a quiet gap's length before it runs, so idle stretches stay
-on the backend's fused fast path (and repeat as memo hits on array).
+Each slot's rows are local sign rows (+1 transmit, -1 listen; int8
+arrays when the backend runs numpy columns, int lists otherwise), so
+the reversed round is a negation.  Runs of slots with no transmitter
+are fused into plain :class:`~repro.ring.stretch.Stretch` spans of
+listen pairs: the MAC state fixes a quiet gap's length before it runs,
+so idle stretches stay on the backend's fused fast path (and repeat as
+memo hits on array).  Nothing reads a slot's observations, so on array
+a slot computes its rotations and never its ``dist``/``coll`` columns.
 
 Channel *adjudication* is an explicit oracle abstraction: who-spoke is
 decided from the transmitter set the MAC layer drew (as IC3Net's
@@ -53,8 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.core.scheduler import Scheduler
 from repro.exceptions import ProtocolError
 from repro.protocols.base import ContentionResult
-from repro.ring.stretch import Stretch
-from repro.types import LocalDirection
+from repro.ring.stretch import Stretch, opposite_row
 
 # Per-agent memory keys: the agent-visible mirror of the channel state.
 KEY_MAC_DELIVERED = "mac.delivered"    # bool: did my message get through?
@@ -94,13 +97,24 @@ def channel_seed(n: int, ids: Sequence[int], id_bound: int) -> int:
     return int(hashlib.sha256(payload.encode("ascii")).hexdigest()[:16], 16)
 
 
+def _listen_row(sched: Scheduler, n: int):
+    """Everyone listening (local LEFT) as a local sign row: an int8
+    array when the backend runs numpy columns, else an int list."""
+    xp = sched.array_module
+    if xp is not None:
+        return xp.full(n, -1, dtype=xp.int8)
+    return [-1] * n
+
+
 def _run_transmission_slot(sched: Scheduler, n: int,
                            transmitters: Set[int]) -> None:
-    """One physical channel slot: probe round + restoring reverse."""
-    row = [
-        LocalDirection.RIGHT if i in transmitters else LocalDirection.LEFT
-        for i in range(n)
-    ]
+    """One physical channel slot: probe round + restoring reverse.
+
+    Transmitters play local RIGHT (+1), listeners local LEFT (-1).
+    """
+    row = _listen_row(sched, n)
+    for i in transmitters:
+        row[i] = 1
     sched.run_stretch(Stretch.probe_restore(row))
 
 
@@ -113,8 +127,8 @@ def _run_idle_slots(sched: Scheduler, n: int, delta: int) -> None:
     listen rounds and as many reverse rounds.  ``delta`` is known
     before the call, so every span is a plain stretch.
     """
-    listen = [LocalDirection.LEFT] * n
-    reverse = [LocalDirection.RIGHT] * n
+    listen = _listen_row(sched, n)
+    reverse = opposite_row(listen)
     span = min(delta, IDLE_LOOKAHEAD)
     sched.run_stretch(Stretch(pairs=[(listen, 1), (reverse, 1)] * span))
     remaining = delta - span

@@ -78,28 +78,50 @@ class CoordinationResult:
         )
 
 
-def rotation_sign(first: Sequence[object], second: Sequence[object]) -> int:
-    """The direction ``second`` is ``first`` rotated in, as a sign.
+def rotation_sign(base: Sequence[object], row: Sequence[object],
+                  i: int = 1) -> Optional[int]:
+    """The direction ``row`` is ``base`` rotated in, ``i`` places.
 
-    -1 when ``second`` is ``first`` rotated right by one place (its
-    entry k is ``first[k - 1]``), else +1: left by one, or neither.
-    Agent 1's gap vector is agent 0's rotated left by one when the
-    common frame runs with the ring's index order, right by one when
-    it runs against it.
+    +1 when ``row`` is ``base`` rotated left by ``i`` places (its entry
+    k is ``base[k + i]``) and -1 when it is ``base`` rotated right by
+    ``i``.  None when it is neither (a doctored row, or one of another
+    length) or both (the two rotations coincide).  Agent i's gap vector
+    is agent 0's rotated left by i when the common frame runs with the
+    ring's index order, right by i when it runs against it.
     """
-    first, second = list(first), list(second)
-    if len(first) < 2 or second == first[1:] + first[:1]:
-        return 1
-    return -1 if second == first[-1:] + first[:-1] else 1
+    base, row = list(base), list(row)
+    width = len(base)
+    if len(row) != width:
+        return None
+    k = i % width if width else 0
+    doubled = base + base
+    left = row == doubled[k:k + width]
+    right = row == doubled[width - k:2 * width - k]
+    if left == right:
+        return None
+    return 1 if left else -1
+
+
+def rotations_coincide(base: Sequence[object]) -> bool:
+    """Whether ``base`` rotated left and right by i places agree for
+    every i (it is invariant under a rotation by two places), so that
+    no row can pick a rotation sign."""
+    base = list(base)
+    width = len(base)
+    k = 2 % width if width else 0
+    return base == (base + base)[k:k + width]
 
 
 def _rotation_split(rows: Iterable[Sequence[object]]
                     ) -> Tuple[List[object], int, int, Dict[int, List[object]]]:
     """``(row 0, row count, sign, outliers)`` of any rows.
 
-    Row 1 picks the sign (:func:`rotation_sign`); every later row is
-    compared with the rotation of row 0 by ``sign * i`` as one list
-    compare, and a row that differs is kept among the outliers.
+    The first row i >= 1 that is row 0 rotated by exactly one of +i and
+    -i picks the sign (:func:`rotation_sign`; +1 when no row does).
+    Every row is compared with the rotation of row 0 by ``sign * i`` as
+    one list compare, and a row that differs is kept among the
+    outliers.  A row before the deciding one is a rotation by neither
+    (an outlier under either sign) or by both (under neither).
     """
     it = iter(rows)
     first = next(it, None)
@@ -108,18 +130,23 @@ def _rotation_split(rows: Iterable[Sequence[object]]
     base = list(first)
     width = len(base)
     doubled = base + base
-    sign = 1
+    sign: Optional[int] = 1 if rotations_coincide(base) else None
     outliers: Dict[int, List[object]] = {}
     count = 1
     for i, row in enumerate(it, 1):
         row = row if type(row) is list else list(row)
-        if i == 1:
-            sign = rotation_sign(base, row)
+        count += 1
+        if sign is None:
+            sign = rotation_sign(base, row, i)
+            if sign is None:
+                k = i % width
+                if row != doubled[k:k + width]:
+                    outliers[i] = row
+                continue
         k = (sign * i) % width if width else 0
         if row != doubled[k:k + width]:
             outliers[i] = row
-        count += 1
-    return base, count, sign, outliers
+    return base, count, sign or 1, outliers
 
 
 class GapRows(SequenceABC):
@@ -276,6 +303,49 @@ class GapRows(SequenceABC):
             f"GapRows(base={self.base!r}, count={self._count}, "
             f"sign={self._sign}, outliers={self._outliers!r})"
         )
+
+
+class GapRowView(SequenceABC):
+    """Row ``i`` of a :class:`GapRows`, as one agent's ``ld.gaps`` value.
+
+    The list is sliced on first access and cached.  The view compares
+    (and hashes) like the equivalent plain list, so consumers of the
+    ``ld.gaps`` column keep working unchanged, and the collect hands
+    back the :class:`GapRows` itself when every cell is its own view.
+    """
+
+    __slots__ = ("rows", "index", "_cells")
+
+    def __init__(self, rows: GapRows, index: int) -> None:
+        self.rows = rows
+        self.index = index
+        self._cells: Optional[List[Fraction]] = None
+
+    def _materialise(self) -> List[Fraction]:
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = self.rows[self.index]
+        return cells
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self._materialise()[index]
+
+    def __len__(self) -> int:
+        return len(self._materialise())
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self._materialise())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (GapRowView, tuple, list)):
+            return self._materialise() == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._materialise()))
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return repr(self._materialise())
 
 
 @dataclass

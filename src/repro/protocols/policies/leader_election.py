@@ -2,15 +2,18 @@
 :mod:`repro.protocols.leader_election`).
 
 :class:`LeaderElectionPolicy` is Algorithm 2 as one whole-population
-policy: per ID bit, a candidate probe (2 rounds, data-dependent vector
-from the candidate state) whose restore-step harvest refines the
+policy: per ID bit, one fused candidate probe/restore span whose local
+sign row is built from the candidate state at decide time (an int8
+array under numpy, an int list otherwise).  The span's harvest reads
+the probe's ``dist() != 0`` column -- raw integers when the span ran
+fused, observations when it ran round by round -- and refines the
 candidate set.  The Lemma 13 emptiness-bisection route reuses the
 native emptiness test.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.agent import id_bits
 from repro.core.scheduler import Scheduler
@@ -20,13 +23,10 @@ from repro.protocols.leader_election import _KEY_SAW_NONZERO
 from repro.protocols.policies.base import (
     LEFT,
     PhasePolicy,
-    RESTORE,
     RIGHT,
-    aligned_vector,
     require_column,
 )
 from repro.protocols.policies.emptiness import emptiness_test
-from repro.types import Observation
 
 
 class LeaderElectionPolicy(PhasePolicy):
@@ -46,46 +46,51 @@ class LeaderElectionPolicy(PhasePolicy):
         )
         nmove = require_column(population, KEY_NMOVE_DIR, precondition)
         flips = require_column(population, KEY_FRAME_FLIP, precondition)
-        self._flips = flips
         # Candidates: agents that moved common-RIGHT in the nontrivial
         # round (aligned_direction(view, RIGHT) is nmove.dir).
         self._candidates = [
             (LEFT if flip else RIGHT) is direction
             for flip, direction in zip(flips, nmove)
         ]
+        # Each slot's local sign for a common-RIGHT move.
+        self._right = [-1 if flip else 1 for flip in flips]
         self.leader_id: Optional[int] = None
         for bit in range(id_bits(population.id_bound)):
-            self.push(
-                lambda bit=bit: self._probe_vector(bit),
-                self._harvest_probe,
-            )
-            self.push(
-                RESTORE, lambda obs, bit=bit: self._refine(bit)
+            self.push_probe_span(
+                lambda bit=bit: self._probe_row(bit),
+                lambda result, bit=bit: self._harvest(result, bit),
             )
 
-    def _probe_vector(self, bit: int):
-        """Probe RI(X0), X0 = candidates whose ID bit ``bit`` is 0:
-        members move common-RIGHT, everyone else common-LEFT."""
+    def _probe_row(self, bit: int):
+        """Local sign row of the probe RI(X0), X0 = candidates whose ID
+        bit ``bit`` is 0: members move common-RIGHT, everyone else
+        common-LEFT."""
         ids = self.population.ids
-        commons = [
-            RIGHT
-            if candidate and ((ids[i] >> bit) & 1) == 0
-            else LEFT
-            for i, candidate in enumerate(self._candidates)
+        row = [
+            sign if candidate and not (ids[i] >> bit) & 1 else -sign
+            for i, (candidate, sign) in enumerate(
+                zip(self._candidates, self._right)
+            )
         ]
-        return aligned_vector(self._flips, commons)
+        xp = self.xp
+        return row if xp is None else xp.asarray(row, dtype=xp.int8)
 
-    def _harvest_probe(self, obs: Sequence[Observation]) -> None:
-        nonzeros = [o.dist != 0 for o in obs]
+    def _harvest(self, result, bit: int) -> None:
+        """File the probe's nonzero-``dist()`` column, then keep the
+        candidate half whose rotation index was nonzero (slot 0's
+        reading; every agent sees the same)."""
+        ints = result.dist_ints(0)
+        if ints is None:
+            nonzeros = [o.dist != 0 for o in result.observations(0)]
+        elif result.np is not None:
+            nonzeros = (ints != 0).tolist()
+        else:
+            nonzeros = [v != 0 for v in ints]
         self.population.set_column(_KEY_SAW_NONZERO, nonzeros)
-        self._keep_zero_half = nonzeros[0]
-
-    def _refine(self, bit: int) -> None:
+        keep_zero = nonzeros[0]
         ids = self.population.ids
-        keep_zero = self._keep_zero_half
         self._candidates = [
-            candidate
-            and (((ids[i] >> bit) & 1) == 0) == keep_zero
+            candidate and (((ids[i] >> bit) & 1) == 0) == keep_zero
             for i, candidate in enumerate(self._candidates)
         ]
 

@@ -27,9 +27,12 @@ slot s's column is slot 0's rotated by ``sign * s``, which
 :func:`collect_gap_rows` checks on every integer cell before handing
 back a :class:`~repro.protocols.base.GapRows` (one base row plus
 rotations).  The rotation-2 sweep checks the same structure on its
-reordered pair sums and inverts one circulant on raw numerators
+reordered pair sums, inverts one circulant on raw numerators
 (:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums_ints`)
-for every slot that passes.  ``engine="fraction"`` forces the
+for every slot that passes, and publishes the solution as one
+``GapRows`` whose rows the ``ld.gaps`` cells view
+(:class:`~repro.protocols.base.GapRowView`), so the collect takes it
+as it stands.  ``engine="fraction"`` forces the
 previous eager Fraction-list harvest -- the executable spec and the
 benchmark's baseline side.
 """
@@ -52,7 +55,9 @@ from repro.protocols.base import (
     KEY_LD_GAPS,
     KEY_LEADER,
     GapRows,
+    GapRowView,
     rotation_sign,
+    rotations_coincide,
 )
 from repro.protocols.policies.base import (
     IDLE,
@@ -124,10 +129,11 @@ def _rotation_check(blocks: Sequence[object], n: int
     """``(column 0, sign, outliers)`` of integer row blocks.
 
     ``blocks`` hold the rows (one per round, one cell per slot) in
-    order, numpy matrices or lists of int rows.  Column 1 picks the
-    sign (:func:`~repro.protocols.base.rotation_sign`); the outliers
-    are the slots whose column is not column 0 rotated by
-    ``sign * slot``.  Slot s's cell in row t must be entry
+    order, numpy matrices or lists of int rows.  The first slot s >= 1
+    whose column is column 0 rotated by exactly one of +s and -s picks
+    the sign (:func:`~repro.protocols.base.rotation_sign`; +1 when no
+    slot does); the outliers are the slots whose column is not column
+    0 rotated by ``sign * slot``.  Slot s's cell in row t must be entry
     ``(t + sign * s) % n`` of column 0, so each row is a window of the
     doubled column 0: a numpy block is checked in one vectorised
     compare against a strided view of those windows, a list block in
@@ -136,9 +142,15 @@ def _rotation_check(blocks: Sequence[object], n: int
     and every slot but 0 is an outlier.
     """
     base = _block_column(blocks, 0)
-    sign = rotation_sign(base, _block_column(blocks, 1)) if n > 1 else 1
     if len(base) != n:
-        return base, sign, set(range(1, n))
+        return base, 1, set(range(1, n))
+    sign = 1
+    if not rotations_coincide(base):
+        for slot in range(1, n):
+            found = rotation_sign(base, _block_column(blocks, slot), slot)
+            if found is not None:
+                sign = found
+                break
     np = get_numpy()
     doubled = base + base
     outliers: Set[int] = set()
@@ -277,7 +289,7 @@ class _GapHarvest:
             {slot: self.column(slot) for slot in sorted(outliers)},
         )
 
-    def take_pair_sum_gaps(self) -> List[List[Fraction]]:
+    def take_pair_sum_gaps(self) -> GapRows:
         """Every slot's gaps from its rotation-2 pair sums.
 
         Round t's pair sum belongs at index ``(2t) % rounds`` of the
@@ -287,7 +299,8 @@ class _GapHarvest:
         slot 0's rotated by ``sign * s``, which is checked on every
         cell.  Slot 0's circulant is solved once and every verified
         slot gets the same rotation of its solution; a slot that fails
-        the check keeps its own solve.
+        the check keeps its own solve.  The rows come back as one
+        :class:`~repro.protocols.base.GapRows`.
         """
         count, n = self.rounds, self.n
         blocks = self.blocks
@@ -325,10 +338,10 @@ class _GapHarvest:
 
         # Rotated pair sums solve to the same rotation of the gaps, so
         # the rows are slot 0's solution's rotations, as in a result.
-        return list(GapRows(solve(base), n, sign, {
+        return GapRows(solve(base), n, sign, {
             slot: solve(_block_column(ordered_blocks, slot))
             for slot in sorted(outliers)
-        }))
+        })
 
 
 def collect_gap_rows(cells: Sequence[object]) -> GapRows:
@@ -337,9 +350,11 @@ def collect_gap_rows(cells: Sequence[object]) -> GapRows:
     ``cells`` are the agents' ``ld.gaps`` values.  When they are the
     rotation-1 sweep's own views, one per slot of one harvest, the rows
     come straight off its integer blocks (:meth:`_GapHarvest.gap_rows`);
-    anything else (plain lists from Algorithm 6, the rotation-2 sweep,
-    the ``fraction`` backend or the callback drivers, or a doctored
-    cell) goes through the reference :meth:`GapRows.from_rows`.
+    when they are the rotation-2 sweep's views, one per row of one
+    :class:`~repro.protocols.base.GapRows`, that is the result as it
+    stands.  Anything else (plain lists from Algorithm 6, the
+    ``fraction`` backend or the callback drivers, or a doctored cell)
+    goes through the reference :meth:`GapRows.from_rows`.
     """
     first = cells[0] if cells else None
     if isinstance(first, LazyGapColumn):
@@ -351,6 +366,15 @@ def collect_gap_rows(cells: Sequence[object]) -> GapRows:
             for slot, cell in enumerate(cells)
         ):
             return harvest.gap_rows()
+    elif isinstance(first, GapRowView):
+        rows = first.rows
+        if len(rows) == len(cells) and all(
+            type(cell) is GapRowView
+            and cell.rows is rows
+            and cell.index == slot
+            for slot, cell in enumerate(cells)
+        ):
+            return rows
     return GapRows.from_rows(cells)  # type: ignore[arg-type]
 
 
@@ -582,12 +606,14 @@ def sweep_rotation_two(
         want_totals=False, engine=engine,
     )
 
-    gaps_column: List[List[Fraction]] = []
+    gaps_column: List[Sequence[Fraction]] = []
     if collected and isinstance(collected[0], LazyGapColumn):
         # Integer mode: reorder and invert the circulant on raw
         # numerators, once for every slot whose pair sums are slot 0's
-        # rotated (the views are dropped: the harvest is consumed).
-        gaps_column = collected[0]._harvest.take_pair_sum_gaps()
+        # rotated (the harvest is consumed); each slot's cell is a view
+        # of its row of the one GapRows.
+        rows = collected[0]._harvest.take_pair_sum_gaps()
+        gaps_column = [GapRowView(rows, slot) for slot in range(len(rows))]
     else:
         for pair_sums in collected:
             count = len(pair_sums)

@@ -58,6 +58,7 @@ resynchronise automatically.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
@@ -148,6 +149,40 @@ def make_backend(spec: BackendSpec) -> "KinematicsBackend":
         f"{', '.join(repr(n) for n in BACKEND_NAMES)}, or a "
         "KinematicsBackend instance"
     )
+
+
+def _dist_row_pair(
+    prefix: List[int],
+    scale: int,
+    r: int,
+    memo: Dict[int, Tuple[List[int], List[int]]],
+) -> Tuple[List[int], List[int]]:
+    """Per-slot ``dist()`` numerators of a rotation-r round over the
+    slot prefix sums ``prefix``, in both frames ``(clockwise_row,
+    anticlockwise_row)``, memoised in ``memo`` (which must belong to
+    the same prefix sums)."""
+    rows = memo.get(r)
+    if rows is None:
+        n = len(prefix) - 1
+        cw = [
+            prefix[s + r] - prefix[s] if s + r <= n
+            else scale - prefix[s] + prefix[s + r - n]
+            for s in range(n)
+        ]
+        ccw = [scale - a if a else 0 for a in cw]
+        rows = memo[r] = (cw, ccw)
+    return rows
+
+
+def _coll_spec(velocities: Sequence[int]) -> List[Tuple[int, int]]:
+    """Per agent of an idle-free mixed round, ``(rel, hops)``: its
+    first-collision arc spans ``hops`` slots starting ``rel`` slots from
+    its own (clockwise movers look ahead from their slot, anticlockwise
+    movers from ``hops`` slots behind)."""
+    return [
+        (0, h) if velocities[i] > 0 else (-h, h)
+        for i, h in enumerate(hops_to_opposite(velocities))
+    ]
 
 
 class FractionBackend(KinematicsBackend):
@@ -295,16 +330,14 @@ class LatticeBackend(KinematicsBackend):
         return value
 
     def _pattern(
-        self, velocities: Tuple[int, ...]
+        self, velocities: Tuple[int, ...], need_coll: bool
     ) -> Tuple[int, bool, bool, Optional[List[Tuple[int, int]]]]:
         """Memoised per-velocity-pattern derivations.
 
-        Returns ``(r, has_idle, mixed, coll_spec)``.  ``coll_spec`` is
-        only present for idle-free mixed rounds (the only rounds with
-        closed-form collisions): per agent, ``(rel, hops)`` such that
-        the first-collision arc spans ``hops`` slots starting ``rel``
-        slots from the agent's own (clockwise movers look ahead from
-        their slot, anticlockwise movers from ``hops`` slots behind).
+        Returns ``(r, has_idle, mixed, coll_spec)``.  ``coll_spec``
+        (:func:`_coll_spec`) is only derived when ``need_coll`` asks for
+        it, and only exists for idle-free mixed rounds, the only rounds
+        with closed-form collisions.
         """
         pat = self._patterns.get(velocities)
         if pat is None:
@@ -314,27 +347,17 @@ class LatticeBackend(KinematicsBackend):
             r = (velocities.count(1) - velocities.count(-1)) % self.n
             has_idle = 0 in velocities
             mixed = 1 in velocities and -1 in velocities
-            coll_spec = None
-            if mixed and not has_idle:
-                coll_spec = [
-                    (0, h) if velocities[i] > 0 else (-h, h)
-                    for i, h in enumerate(hops_to_opposite(velocities))
-                ]
-            pat = (r, has_idle, mixed, coll_spec)
+            pat = (r, has_idle, mixed, None)
+            self._patterns[velocities] = pat
+        if need_coll and pat[3] is None and pat[2] and not pat[1]:
+            pat = (pat[0], pat[1], pat[2], _coll_spec(velocities))
             self._patterns[velocities] = pat
         return pat
 
     def _dist_row(self, r: int) -> Tuple[List[int], List[int]]:
         """Per-slot ``dist()`` numerators of a rotation-r round, in both
         frames: ``(clockwise_row, anticlockwise_row)``."""
-        rows = self._dist_rows.get(r)
-        if rows is None:
-            scale = self.scale
-            cw = [self._arc_slots(s, r) for s in range(self.n)]
-            ccw = [scale - a if a else 0 for a in cw]
-            rows = (cw, ccw)
-            self._dist_rows[r] = rows
-        return rows
+        return _dist_row_pair(self._prefix, self.scale, r, self._dist_rows)
 
     def _event_round(
         self, velocities: Sequence[int]
@@ -377,7 +400,7 @@ class LatticeBackend(KinematicsBackend):
                 state.commit_round(self._ring2[off:off + n], r)
                 self._version = state.version
                 return outcome
-        r, has_idle, mixed, coll_spec = self._pattern(velocities)
+        r, has_idle, mixed, coll_spec = self._pattern(velocities, need_coll)
         need_events = cross_validate or (need_coll and has_idle)
 
         events = 0
@@ -530,7 +553,7 @@ class LatticeBackend(KinematicsBackend):
         if closed_coll:
             # Recompute the closed-form arcs here (tick-doubled) and
             # compare; the main loop then uses the closed form.
-            _, _, _, coll_spec = self._pattern(velocities)
+            _, _, _, coll_spec = self._pattern(velocities, True)
             arc = self._arc_slots
             for i in range(n):
                 rel, h = coll_spec[i]
@@ -552,16 +575,207 @@ class LatticeBackend(KinematicsBackend):
         return ev_coll, events
 
 
+class _VelocityRow:
+    """One fused row's objective velocities and what a plan derives.
+
+    A plan derives only the rotation index and the idle and mixed flags
+    (two counts).  The nearest-opposite hop offsets a closed-form
+    ``coll()`` column needs are derived by the first read that wants
+    them and kept here, so spans sharing the row through the backend's
+    row memo derive them once.  They depend on the velocities alone.
+    """
+
+    __slots__ = ("vel", "r", "has_idle", "mixed", "_offsets")
+
+    def __init__(self, vel, r: int, has_idle: bool, mixed: bool) -> None:
+        self.vel = vel  # int8 ndarray (vectorised path) or int tuple
+        self.r = r
+        self.has_idle = has_idle
+        self.mixed = mixed
+        self._offsets = None
+
+    def coll_offsets(self, np):
+        """Where each agent's first-collision arc starts, relative to
+        its own slot, and how many slots it spans: ``(rel, hops)``
+        int64 arrays under numpy, else :func:`_coll_spec`'s list of
+        pairs.  None unless the row is idle-free and mixed, the only
+        rows with closed-form collisions."""
+        if not self.mixed or self.has_idle:
+            return None
+        offsets = self._offsets
+        if offsets is None:
+            vel = self.vel
+            if np is not None:
+                from repro.ring.arrayops import hops_to_opposite_array
+
+                hops = hops_to_opposite_array(np, vel.astype(np.int64))
+                offsets = (np.where(vel > 0, 0, -hops), hops)
+            else:
+                offsets = _coll_spec(vel)
+            self._offsets = offsets
+        return offsets
+
+
+class _FusedSpan:
+    """What a fused span's observation columns are computed from.
+
+    Captured when the span executes: the backend's slot prefix sums
+    (doubled, on the vectorised path) and chirality mask, the scale,
+    the start offset, the per-round rotations and the planned rows.
+    ``_sync`` replaces those arrays instead of mutating them, so a
+    resync between execution and the first read (an external position
+    write bumps ``state.version``) cannot change the columns.
+    """
+
+    __slots__ = ("np", "n", "scale", "start", "rotations", "rows",
+                 "need_coll", "prefix", "chir", "base", "dist_memo")
+
+    def __init__(self, backend: "ArrayBackend", rotations: List[int],
+                 rows: List[Tuple[_VelocityRow, int]],
+                 need_coll: bool) -> None:
+        np = backend.np
+        self.np = np
+        self.n = backend.n
+        self.scale = backend.scale
+        self.start = backend.offset
+        self.rotations = rotations
+        self.rows = rows
+        self.need_coll = need_coll
+        if np is not None:
+            self.prefix = backend._p2
+            self.chir = backend._chir_np
+            self.base = backend._base_idx
+            self.dist_memo = None
+        else:
+            self.prefix = backend._prefix
+            self.chir = backend._chir_cw
+            self.base = None
+            self.dist_memo = backend._dist_rows
+
+    def truncated(self, kept: int) -> "_FusedSpan":
+        """The same span cut to its first ``kept`` rounds."""
+        span = copy.copy(self)
+        span.rotations = self.rotations[:kept]
+        return span
+
+
+def _span_dist(span: _FusedSpan):
+    """A span's agent-frame ``dist()`` numerators over ``scale``: a
+    ``(k, n)`` int64 matrix on the vectorised path, else one
+    ``array('q')`` row per round."""
+    n, scale, np = span.n, span.scale, span.np
+    off = span.start
+    if np is not None:
+        p2, chir, base = span.prefix, span.chir, span.base
+        dist = np.empty((len(span.rotations), n), dtype=np.int64)
+        for j, r in enumerate(span.rotations):
+            s = base + off
+            s = np.where(s >= n, s - n, s)
+            cw = p2[s + r] - p2[s]
+            dist[j] = np.where(chir, cw, (scale - cw) % scale)
+            off += r
+            if off >= n:
+                off -= n
+        return dist
+    from array import array
+
+    prefix, chir = span.prefix, span.chir
+    rows: List[array] = []
+    for r in span.rotations:
+        cw_row, ccw_row = _dist_row_pair(prefix, scale, r, span.dist_memo)
+        drow = array("q", bytes(8 * n))
+        s = off
+        for i in range(n):
+            drow[i] = cw_row[s] if chir[i] else ccw_row[s]
+            s += 1
+            if s == n:
+                s = 0
+        rows.append(drow)
+        off += r
+        if off >= n:
+            off -= n
+    return rows
+
+
+def _span_coll(span: _FusedSpan):
+    """A span's closed-form ``coll()`` numerators over ``2 * scale``
+    (``-1`` = no collision): a ``(k, n)`` int64 matrix on the
+    vectorised path, else one ``array('q')`` row per round, None for a
+    round without closed-form collisions."""
+    n, scale, np = span.n, span.scale, span.np
+    rotations = span.rotations
+    k = len(rotations)
+    off = span.start
+    j = 0
+    if np is not None:
+        p2, base = span.prefix, span.base
+        coll = np.full((k, n), -1, dtype=np.int64)
+        for row, count in span.rows:
+            if j == k:
+                break
+            offsets = row.coll_offsets(np)
+            for _ in range(min(count, k - j)):
+                if offsets is not None:
+                    rel, hops = offsets
+                    s = base + off
+                    s = np.where(s >= n, s - n, s)
+                    s0 = s + rel
+                    s0 = np.where(s0 < 0, s0 + n, s0)
+                    coll[j] = p2[s0 + hops] - p2[s0]
+                off += rotations[j]
+                if off >= n:
+                    off -= n
+                j += 1
+        return coll
+    from array import array
+
+    prefix = span.prefix
+    rows: List[Optional[array]] = []
+    for row, count in span.rows:
+        if j == k:
+            break
+        spec = row.coll_offsets(None)
+        for _ in range(min(count, k - j)):
+            if spec is None:
+                rows.append(None)
+            else:
+                crow = array("q", bytes(8 * n))
+                s = off
+                for i in range(n):
+                    rel, h = spec[i]
+                    s0 = s + rel
+                    if s0 < 0:
+                        s0 += n
+                    e = s0 + h
+                    if e <= n:
+                        crow[i] = prefix[e] - prefix[s0]
+                    else:
+                        crow[i] = scale - prefix[s0] + prefix[e - n]
+                    s += 1
+                    if s == n:
+                        s = 0
+                rows.append(crow)
+            off += rotations[j]
+            if off >= n:
+                off -= n
+            j += 1
+    return rows
+
+
 class ArrayStretchResult:
     """Columnar outcome of one fused stretch (see :mod:`repro.ring.stretch`).
 
-    Holds the span's observation columns as raw integer numerators --
-    ``dist`` over ``scale``, ``coll`` over ``2 * scale`` with ``-1``
-    encoding "no collision" -- and materialises per-agent
-    :class:`~repro.types.Observation` rows only when something reads
-    them, through the owning backend's interning tables (so a
-    materialised row is bit-identical to, and shares objects with, the
-    scalar path's output).
+    The span's rotations exist from execution on, because the commit
+    needs them.  Its observation columns are computed on their first
+    read, each on its own (a ``dist()`` read never derives collision
+    hops), from what the :class:`_FusedSpan` captured at execution, and
+    kept: ``dist`` over ``scale``, ``coll`` over ``2 * scale`` with
+    ``-1`` encoding "no collision".  A span nobody reads (a restore
+    round, a contention slot) never computes either.  Per-agent
+    :class:`~repro.types.Observation` rows materialise only when
+    something reads them, through the owning backend's interning tables
+    (so a materialised row is bit-identical to, and shares objects
+    with, the scalar path's output).
 
     ``np`` is the numpy module when the columns are int64 ndarrays
     (vectorised consumers branch on it), else None (stdlib ``array``
@@ -571,32 +785,42 @@ class ArrayStretchResult:
 
     __slots__ = (
         "_backend", "k", "n", "scale", "rotations", "collision_events",
-        "np", "_dist", "_coll", "_obs",
+        "np", "_span", "_dist", "_coll", "_obs",
     )
 
-    def __init__(self, backend, rotations, dist, coll, vectorised):
+    def __init__(self, backend: "ArrayBackend", span: _FusedSpan) -> None:
         self._backend = backend
-        self.k = len(rotations)
-        self.n = backend.n
-        self.scale = backend.scale
-        self.rotations = rotations
+        self._span = span
+        self.rotations = span.rotations
+        self.k = len(span.rotations)
+        self.n = span.n
+        self.scale = span.scale
         self.collision_events = 0
-        self.np = backend.np if vectorised else None
-        self._dist = dist
-        self._coll = coll
+        self.np = span.np
+        self._dist = None
+        self._coll = None
         self._obs: Dict[int, Tuple[Observation, ...]] = {}
+
+    def _dist_columns(self):
+        dist = self._dist
+        if dist is None:
+            dist = self._dist = _span_dist(self._span)
+        return dist
 
     def dist_ints(self, j: int):
         """Round ``j``'s dist numerators over ``scale`` (agent frame)."""
-        return self._dist[j]
+        return self._dist_columns()[j]
 
     def coll_ints(self, j: int):
         """Round ``j``'s coll numerators over ``2 * scale`` (-1 = None),
         or None when the model reports no collisions (or, on the
         fallback representation, when the round had none)."""
-        if self._coll is None:
+        if not self._span.need_coll:
             return None
-        return self._coll[j]
+        coll = self._coll
+        if coll is None:
+            coll = self._coll = _span_coll(self._span)
+        return coll[j]
 
     def dist_ints_all(self):
         """The whole span's dist numerators as a ``(k, n)`` int64
@@ -604,28 +828,29 @@ class ArrayStretchResult:
         harvests fall back to per-round reads)."""
         if self.np is None:
             return None
-        return self._dist
+        return self._dist_columns()
 
     def truncated(self, kept: int) -> "ArrayStretchResult":
         """The first ``kept`` rounds of this span as a fresh outcome.
 
         Used by speculative execution to cut an optimistically
-        computed span back to the stop predicate's firing round; the
-        column storage is shared (numpy slices are views), only the
-        bookkeeping shrinks.
+        computed span back to the stop predicate's firing round.
+        Columns already computed are shared (numpy slices are views);
+        the others are computed for the kept rounds only, on first
+        read.
         """
         if not 0 < kept <= self.k:
             raise SimulationError(
                 f"cannot keep {kept} of a {self.k}-round stretch"
             )
-        coll = None if self._coll is None else self._coll[:kept]
-        return ArrayStretchResult(
-            self._backend,
-            self.rotations[:kept],
-            self._dist[:kept],
-            coll,
-            self.np is not None,
+        result = ArrayStretchResult(
+            self._backend, self._span.truncated(kept)
         )
+        if self._dist is not None:
+            result._dist = self._dist[:kept]
+        if self._coll is not None:
+            result._coll = self._coll[:kept]
+        return result
 
     def observations(self, j: int) -> Tuple[Observation, ...]:
         """Round ``j`` materialised as interned Observations (cached)."""
@@ -639,7 +864,7 @@ class ArrayStretchResult:
             backend._obs_coll.clear()
             backend._obs_quarter.clear()
         np = self.np
-        dn = self._dist[j]
+        dn = self.dist_ints(j)
         dn = dn.tolist() if np is not None else list(dn)
         cn = self.coll_ints(j)
         if cn is not None:
@@ -690,7 +915,7 @@ class ArrayStretchResult:
     def dists(self, j: int) -> List[Fraction]:
         """Round ``j``'s dist column as interned Fractions."""
         backend = self._backend
-        dn = self._dist[j]
+        dn = self.dist_ints(j)
         dn = dn.tolist() if self.np is not None else dn
         frac1 = backend._frac1
         return [frac1(d) for d in dn]
@@ -715,13 +940,17 @@ class ArrayBackend(LatticeBackend):
     time serve :meth:`execute_stretch`, which advances a whole fused
     span in closed form:
 
-    - per-round rotation indices come from whole-row counts, offsets
-      accumulate, and each round's agent-frame ``dist()`` numerators
-      are one doubled-prefix gather (``p2[s + r] - p2[s]``) -- the
-      rotation-offset trick of :class:`LatticeBackend`, applied to columns;
+    - per-round rotation indices come from whole-row counts and
+      offsets accumulate; that is all a span computes when it executes
+      (the commit needs it).  Its observation columns wait for their
+      first read (:class:`ArrayStretchResult`): each round's
+      agent-frame ``dist()`` numerators are one doubled-prefix gather
+      (``p2[s + r] - p2[s]``) -- the rotation-offset trick of
+      :class:`LatticeBackend`, applied to columns;
     - closed-form first-collision numerators come from the vectorised
       nearest-opposite-hop derivation (suffix-min/prefix-max on the
-      doubled ring), memoised per velocity row;
+      doubled ring), derived on the first ``coll()`` read and memoised
+      per velocity row;
     - the event engine's integer heap keys are assembled as vectorised
       int arrays when it runs at all; fused rounds are closed-form by
       construction, so the heap is only ever built for rounds that
@@ -759,7 +988,7 @@ class ArrayBackend(LatticeBackend):
         n, scale = self.n, self.scale
         self._fusable = scale.bit_length() <= 61
         self._stretch_memo: Dict[tuple, Tuple[ArrayStretchResult, int]] = {}
-        self._row_memo: Dict[object, tuple] = {}
+        self._row_memo: Dict[object, _VelocityRow] = {}
         np = self.np
         if np is not None and self._fusable:
             base = np.asarray(self._prefix, dtype=np.int64)  # length n+1
@@ -802,30 +1031,30 @@ class ArrayBackend(LatticeBackend):
             )
         return arr
 
-    def _derive_np(self, arr, key):
-        """Per-velocity-row derivations for the vectorised path:
-        ``(r, has_idle, mixed, rel, hops)`` with rel/hops int64 arrays
-        for idle-free mixed rows (else None)."""
-        hit = self._row_memo.get(key)
-        if hit is not None:
-            return hit
-        np = self.np
-        if len(self._row_memo) > 4096:
-            self._row_memo.clear()
-        npos = int(np.count_nonzero(arr == 1))
-        nneg = int(np.count_nonzero(arr == -1))
-        r = (npos - nneg) % self.n
-        has_idle = npos + nneg < self.n
-        mixed = npos > 0 and nneg > 0
-        rel = hops = None
-        if mixed and not has_idle:
-            from repro.ring.arrayops import hops_to_opposite_array
-
-            hops = hops_to_opposite_array(np, arr.astype(np.int64))
-            rel = np.where(arr > 0, 0, -hops)
-        derived = (r, has_idle, mixed, rel, hops)
-        self._row_memo[key] = derived
-        return derived
+    def _derive_row(self, vel, key) -> _VelocityRow:
+        """The memoised :class:`_VelocityRow` of one normalised row (an
+        int8 ndarray keyed by its bytes, or an int tuple keyed by
+        itself): rotation index, idle and mixed flags, from two
+        counts."""
+        row = self._row_memo.get(key)
+        if row is None:
+            if len(self._row_memo) > 4096:
+                self._row_memo.clear()
+            np = self.np
+            if np is not None:
+                vel = vel.copy()  # kept for a later coll() read
+                npos = int(np.count_nonzero(vel == 1))
+                nneg = int(np.count_nonzero(vel == -1))
+            else:
+                npos = vel.count(1)
+                nneg = vel.count(-1)
+            n = self.n
+            row = _VelocityRow(
+                vel, (npos - nneg) % n, npos + nneg < n,
+                npos > 0 and nneg > 0,
+            )
+            self._row_memo[key] = row
+        return row
 
     def execute_stretch(self, vel_pairs, need_coll: bool):
         """Advance one fused stretch; commits the state lazily.
@@ -845,12 +1074,12 @@ class ArrayBackend(LatticeBackend):
         plan = self._plan_pairs(vel_pairs, need_coll)
         if plan is None:
             return None
-        derived, key_rows, total = plan
+        rows, key_rows, total = plan
 
         memo_key = (tuple(key_rows), self.offset, need_coll)
         hit = self._stretch_memo.get(memo_key)
         if hit is None:
-            result, r_total = self._compute_span(derived, need_coll, total)
+            result, r_total = self._compute_span(rows, need_coll)
             if len(self._stretch_memo) > 4096:
                 self._stretch_memo.clear()
             self._stretch_memo[memo_key] = (result, r_total)
@@ -863,11 +1092,11 @@ class ArrayBackend(LatticeBackend):
     def execute_speculative(self, vel_pairs, stop, need_coll: bool):
         """Advance a speculative span; cut it back where ``stop`` fires.
 
-        The planned span is executed optimistically in full (the same
-        closed-form column computation as :meth:`execute_stretch`, but
-        unmemoised: speculative spans are one-shot and their columns
-        can be large); ``stop(result, j)`` is then evaluated against
-        the emitted observation columns for ``j = 0, 1, ...`` in order.
+        The planned span is executed optimistically in full (as in
+        :meth:`execute_stretch`, but unmemoised: speculative spans are
+        one-shot and their columns can be large); ``stop(result, j)``
+        is then evaluated against its observation columns (computed on
+        the predicate's first read) for ``j = 0, 1, ...`` in order.
         At the first firing round the span is truncated to ``j + 1``
         rounds and the optimistic advance rolls back to that boundary
         -- positions commit lazily through the rotation offset, so the
@@ -882,8 +1111,8 @@ class ArrayBackend(LatticeBackend):
         plan = self._plan_pairs(vel_pairs, need_coll)
         if plan is None:
             return None
-        derived, _key_rows, total = plan
-        result, r_total = self._compute_span(derived, need_coll, total)
+        rows, _key_rows, total = plan
+        result, r_total = self._compute_span(rows, need_coll)
         kept = total
         if stop is not None:
             for j in range(total):
@@ -905,10 +1134,10 @@ class ArrayBackend(LatticeBackend):
     def _plan_pairs(self, vel_pairs, need_coll: bool):
         """Normalise and derive a span's velocity rows.
 
-        Returns ``(derived, key_rows, total)`` -- per-row derivations,
-        hashable memo-key rows, and the round count -- or None when the
-        span cannot be fused (oversized denominator, or an idle round
-        under a collision-reporting model).
+        Returns ``(rows, key_rows, total)`` -- ``(_VelocityRow, count)``
+        pairs, hashable memo-key rows, and the round count -- or None
+        when the span cannot be fused (oversized denominator, or an
+        idle round under a collision-reporting model).
         """
         state = self.state
         if state.version != self._version:
@@ -917,34 +1146,35 @@ class ArrayBackend(LatticeBackend):
             return None
         np = self.np
         total = 0
-        derived = []
+        rows = []
         key_rows = []
-        if np is not None:
-            for row, count in vel_pairs:
-                arr = self._vel_row_np(row)
-                key = arr.tobytes()
-                pat = self._derive_np(arr, key)
-                if need_coll and pat[1]:  # idle round needing coll()
-                    return None
-                derived.append((pat, count))
-                key_rows.append((key, count))
-                total += count
-        else:
-            for row, count in vel_pairs:
-                vel = row if isinstance(row, tuple) else tuple(row)
-                pat = self._pattern(vel)
-                if need_coll and pat[1]:
-                    return None
-                derived.append((pat, count))
-                key_rows.append((vel, count))
-                total += count
-        return derived, key_rows, total
+        for vel, count in vel_pairs:
+            if np is not None:
+                vel = self._vel_row_np(vel)
+                key = vel.tobytes()
+            else:
+                vel = key = vel if isinstance(vel, tuple) else tuple(vel)
+            row = self._derive_row(vel, key)
+            if need_coll and row.has_idle:  # idle round needing coll()
+                return None
+            rows.append((row, count))
+            key_rows.append((key, count))
+            total += count
+        return rows, key_rows, total
 
-    def _compute_span(self, derived, need_coll: bool, total: int):
-        """Dispatch the span computation to the active representation."""
-        if self.np is not None:
-            return self._compute_stretch_np(derived, need_coll, total)
-        return self._compute_stretch_py(derived, need_coll, total)
+    def _compute_span(self, rows, need_coll: bool):
+        """Execute a planned span: its rotations now (the commit needs
+        them), its observation columns on their first read.
+
+        Returns ``(result, r_total)``.
+        """
+        rotations: List[int] = []
+        r_total = 0
+        for row, count in rows:
+            rotations += [row.r] * count
+            r_total += row.r * count
+        span = _FusedSpan(self, rotations, rows, need_coll)
+        return ArrayStretchResult(self, span), r_total % self.n
 
     def _commit_span(self, rounds: int, r_total: int) -> None:
         """Advance the offset and lazily commit ``rounds`` rounds."""
@@ -959,95 +1189,3 @@ class ArrayBackend(LatticeBackend):
             lambda: ring2[off:off + n], rounds, r_total
         )
         self._version = state.version
-
-    def _compute_stretch_np(self, derived, need_coll, total):
-        """Vectorised span computation (numpy path)."""
-        np = self.np
-        n, scale = self.n, self.scale
-        p2, base, chir = self._p2, self._base_idx, self._chir_np
-        dist = np.empty((total, n), dtype=np.int64)
-        coll = (
-            np.full((total, n), -1, dtype=np.int64) if need_coll else None
-        )
-        rotations: List[int] = []
-        off = self.offset
-        j = 0
-        for (r, _idle, mixed, rel, hops), count in derived:
-            for _ in range(count):
-                s = base + off
-                s = np.where(s >= n, s - n, s)
-                cw = p2[s + r] - p2[s]
-                dist[j] = np.where(chir, cw, (scale - cw) % scale)
-                if coll is not None and rel is not None:
-                    s0 = s + rel
-                    s0 = np.where(s0 < 0, s0 + n, s0)
-                    s0 = np.where(s0 >= n, s0 - n, s0)
-                    coll[j] = p2[s0 + hops] - p2[s0]
-                rotations.append(r)
-                off += r
-                if off >= n:
-                    off -= n
-                j += 1
-        r_total = (off - self.offset) % n
-        return (
-            ArrayStretchResult(self, rotations, dist, coll, True),
-            r_total,
-        )
-
-    def _compute_stretch_py(self, derived, need_coll, total):
-        """Fused span over stdlib array buffers (numpy-absent path)."""
-        from array import array
-
-        n, scale = self.n, self.scale
-        prefix = self._prefix
-        chir = self._chir_cw
-        dist_rows: List[array] = []
-        coll_rows: Optional[List[Optional[array]]] = (
-            [] if need_coll else None
-        )
-        rotations: List[int] = []
-        off = self.offset
-        for (r, _idle, _mixed, coll_spec), count in derived:
-            for _ in range(count):
-                cw_row, ccw_row = self._dist_row(r)
-                drow = array("q", bytes(8 * n))
-                s = off
-                for i in range(n):
-                    drow[i] = cw_row[s] if chir[i] else ccw_row[s]
-                    s += 1
-                    if s == n:
-                        s = 0
-                dist_rows.append(drow)
-                if coll_rows is not None:
-                    if coll_spec is None:
-                        coll_rows.append(None)
-                    else:
-                        crow = array("q", bytes(8 * n))
-                        s = off
-                        for i in range(n):
-                            rel, h = coll_spec[i]
-                            s0 = s + rel
-                            if s0 < 0:
-                                s0 += n
-                            elif s0 >= n:
-                                s0 -= n
-                            e = s0 + h
-                            if e <= n:
-                                crow[i] = prefix[e] - prefix[s0]
-                            else:
-                                crow[i] = (
-                                    scale - prefix[s0] + prefix[e - n]
-                                )
-                            s += 1
-                            if s == n:
-                                s = 0
-                        coll_rows.append(crow)
-                rotations.append(r)
-                off += r
-                if off >= n:
-                    off -= n
-        r_total = (off - self.offset) % n
-        return (
-            ArrayStretchResult(self, rotations, dist_rows, coll_rows, False),
-            r_total,
-        )

@@ -8,7 +8,8 @@ one from ``decide`` instead of a single direction vector; the scheduler
 then hands the whole span to the kinematics backend in one call.  A
 backend that understands stretches (:class:`~repro.ring.backends.
 ArrayBackend`) advances all ``k`` rounds in closed form and returns a
-*stretch outcome* whose observations stay columnar -- per-agent
+*stretch outcome* whose observations stay columnar -- the columns are
+computed on their first read, and per-agent
 :class:`~repro.types.Observation` objects are only materialised if
 something actually reads them (restore rounds typically never are).
 

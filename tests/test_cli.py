@@ -50,6 +50,40 @@ class TestCli:
         }
         assert len(result["gaps_by_agent"]) == 7
 
+    def test_run_json_is_written_in_batches_byte_identically(
+        self, monkeypatch
+    ):
+        import io
+        import sys
+
+        from repro import RingSession
+        from repro.__main__ import _print_json
+
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        # Over 65536 encoder chunks, so more than one batch.
+        payload = {"rows": [[i, str(i)] for i in range(20000)]}
+        _print_json(payload)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert len(writes) > 2
+        out.seek(0)
+        out.truncate()
+        assert main(["run", "location-discovery", "--n", "9", "--model",
+                     "lazy", "--seed", "3", "--json", "--no-cache"]) == 0
+        document = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+        result = RingSession(n=9, model="lazy", seed=3).run(
+            "location-discovery"
+        )
+        assert document["result"] == result.to_dict()
+
     def test_run_backends_agree(self, capsys):
         args = ["run", "location-discovery", "--n", "7", "--model", "basic",
                 "--seed", "3", "--json"]

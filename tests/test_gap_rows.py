@@ -30,8 +30,10 @@ from repro.experiments.harness import _speculative_preset
 from repro.protocols.base import (
     KEY_LD_GAPS,
     GapRows,
+    GapRowView,
     LocationDiscoveryResult,
     rotation_sign,
+    rotations_coincide,
 )
 from repro.protocols.policies import location_discovery as native_ld
 from repro.protocols.policies.location_discovery import (
@@ -46,29 +48,6 @@ from repro.ring.configs import random_configuration
 from repro.types import Model
 
 F = Fraction
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_axis(request, monkeypatch):
-    """Run the test with numpy, then with numpy's import failing."""
-    if request.param == "numpy":
-        if arrayops.get_numpy() is None:
-            pytest.skip("numpy is not installed")
-    else:
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_numpy(name, *args, **kwargs):
-            if name == "numpy":
-                raise ImportError("numpy disabled for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_numpy)
-    arrayops.reset_numpy_cache()
-    yield request.param
-    monkeypatch.undo()
-    arrayops.reset_numpy_cache()
 
 
 def _rotations(base, sign):
@@ -180,9 +159,18 @@ class TestGapRows:
     def test_rotation_sign(self):
         assert rotation_sign([1, 2, 3], [2, 3, 1]) == 1
         assert rotation_sign([1, 2, 3], [3, 1, 2]) == -1
-        assert rotation_sign([1, 2, 3], [1, 2, 3]) == 1
-        assert rotation_sign([1, 2, 3], [2, 3]) == 1
-        assert rotation_sign([1], [1]) == 1
+        # Neither rotation by one place (or another length): no sign.
+        assert rotation_sign([1, 2, 3], [1, 2, 3]) is None
+        assert rotation_sign([1, 2, 3], [2, 3]) is None
+        # Both rotations (they coincide): no sign either.
+        assert rotation_sign([1], [1]) is None
+        assert rotation_sign([1, 2, 3, 4], [3, 4, 1, 2], 2) is None
+        # Rotations by i places.
+        assert rotation_sign([1, 2, 3, 4], [4, 1, 2, 3], 3) == 1
+        assert rotation_sign([1, 2, 3, 4], [2, 3, 4, 1], 3) == -1
+        assert rotation_sign([1, 2, 3, 4], [2, 3, 4, 1], 2) is None
+        assert rotations_coincide([1, 2, 1, 2]) and rotations_coincide([1])
+        assert not rotations_coincide([1, 2, 3, 4])
 
     def test_result_converts_plain_rows(self):
         rows = _rotations(self.BASE, 1)
@@ -361,6 +349,38 @@ class TestDoctoredRuns:
         assert _rotation_check([[[1, 2, 3]]], 3) == ([1], 1, {1, 2})
 
 
+class TestSignFromTheFirstRotation:
+    """A doctored row 1 does not pick the sign: the first row that is a
+    rotation of row 0 does, so only the doctored agent is an outlier
+    (taking the sign from row 1 alone made agent 3 one too)."""
+
+    BASE = [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]
+
+    def test_reference_constructors(self):
+        rows = _rotations(self.BASE, -1)
+        rows[1] = [F(0), F(1, 2), F(1, 4), F(1, 4)]
+        texts = [[str(g) for g in row] for row in rows]
+        for gaps in (GapRows.from_rows(rows), GapRows.from_strings(texts)):
+            assert gaps.sign == -1
+            assert gaps.outliers == {1}
+            assert gaps == rows and rows == gaps
+
+    def test_integer_blocks(self, numpy_axis):
+        n = 4
+        base = [1, 2, 3, 4]
+        # Row t holds round t, cell s slot s: slot s's column is
+        # column 0 rotated by -s.
+        rows = [[base[(t - s) % n] for s in range(n)] for t in range(n)]
+        rows[0][1] += 7
+        blocks = [[rows[:3], rows[3:]]]
+        np = arrayops.get_numpy()
+        if np is not None:
+            matrix = np.asarray(rows, dtype=np.int64)
+            blocks += [[matrix], [matrix[:1], rows[1:]]]
+        for block_list in blocks:
+            assert _rotation_check(block_list, n) == (base, -1, {1})
+
+
 class TestRotationTwoSolvesOnce:
     def _count_solves(self, monkeypatch):
         calls = []
@@ -389,6 +409,31 @@ class TestRotationTwoSolvesOnce:
         sweep_rotation_two(spec, engine="fraction")
         got = sched.population.get_column(KEY_LD_GAPS)
         assert got == spec.population.get_column(KEY_LD_GAPS)
+
+    def test_sweep_publishes_one_gap_rows(self, numpy_axis, monkeypatch):
+        def no_reference(rows):
+            raise AssertionError("the collect compared the rows again")
+
+        sched = _swept(13, 4, Model.BASIC, sweep_rotation_two, 4,
+                       monkeypatch)
+        column = sched.population.get_column(KEY_LD_GAPS)
+        rows = column[0].rows
+        assert isinstance(rows, GapRows)
+        assert all(
+            isinstance(cell, GapRowView) and cell.rows is rows
+            and cell.index == slot
+            for slot, cell in enumerate(column)
+        )
+        plain = [list(cells) for cells in column]
+        assert plain == rows and column == plain and plain == column
+        monkeypatch.setattr(GapRows, "from_rows", no_reference)
+        assert collect_gap_rows(column) is rows
+        result = _collect_location_discovery(sched, {})
+        assert result.gaps_by_agent is rows
+        monkeypatch.undo()
+        # A doctored cell sends the collect back to the reference.
+        column[5] = [F(0)] * 13
+        assert collect_gap_rows(column).outliers == {5}
 
     def test_doctored_slot_keeps_its_own_solve(self, numpy_axis,
                                                monkeypatch):
