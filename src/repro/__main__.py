@@ -29,8 +29,11 @@ Usage::
     python -m repro bench simulator|policies|array|speculative|equations|
                           fleet|cache [--sizes LIST] [--out PATH]
 
-``run`` with no protocol lists the registry.  Input that cannot run is
-one ``repro: error:`` line and exit status 2.  All structured output
+``run`` with no protocol lists the registry.  Exit status: 0 on
+success; 1 for a fault ``run`` detects under ``--faults`` or for
+``lint`` findings; 2 for input that cannot run (one ``repro: error:``
+line); 141 (128 + SIGPIPE) when the reader closes stdout early
+(``run --json | head``), silently.  All structured output
 (``--json``, ``sweep``) uses exact ``"p/q"`` strings for rationals.
 ``--cache`` (or ``REPRO_CACHE=1``) serves repeated runs from the
 content-addressed run store; fetched results are bit-identical to
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from typing import List, Optional
@@ -606,9 +610,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.parser = parser  # for subcommand-level validation errors
     try:
         code = args.fn(args)
+        sys.stdout.flush()
     except _USAGE_ERRORS as exc:
         # Input that cannot run, from any verb: one line, exit 2.
         parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout early: not a fault.  Point stdout at
+        # devnull so the interpreter's final flush stays silent, and
+        # exit as a shell reports a SIGPIPE death.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     return int(code) if code else 0
 
 

@@ -152,9 +152,9 @@ class Scheduler:
 
         Always False under an active fault plan: injection rewrites the
         direction vector round by round, so spans cannot be handed to
-        the backend whole.  Policies then plan their scalar/legacy
-        paths; scheduler-level stretch entry points execute round by
-        round through the injector.
+        the backend whole.  Native policies plan the same spans either
+        way; :meth:`run_stretch` then replays each one round by round
+        through the injector.
         """
         if self._injector is not None:
             return False
@@ -163,13 +163,14 @@ class Scheduler:
     @property
     def array_module(self):
         """The numpy module when the backend exposes vectorised stretch
-        columns through it, else None.  Native policies key their
-        internal representation (sign rows, integer columns) off this.
+        columns through it, else None.  Native policies key the leaves
+        of their one span plan off this: int8 or int-list sign rows,
+        integer or Fraction harvest columns.
 
         None also when the backend cannot fuse with int64 columns (a
-        shared denominator past 2^61): policies then keep their exact
-        legacy plans instead of building integer mirrors that would
-        collide with sentinels or overflow int64.
+        shared denominator past 2^61): policies then build int-list
+        sign rows and harvest interned Fractions instead of integer
+        mirrors that would collide with sentinels or overflow int64.
         """
         if not self.supports_stretch:
             return None

@@ -61,10 +61,9 @@ NUMPY_GATE_MODULE = "ring/arrayops.py"
 #: are dotted qualnames within the module.
 FRACTION_BOUNDARY_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "ring/backends.py": frozenset({
-        # Interned Fraction(num, scale) / Fraction(num, 2*scale)
-        # constructors -- the only mint for observation rationals.
-        "LatticeBackend._frac1",
-        "LatticeBackend._frac2",
+        # The interning helper behind LatticeBackend._frac1/_frac2 and
+        # fused-span reads -- the only mint for observation rationals.
+        "_intern",
         # Observation materialisation: the intern-miss constructor
         # sites of the per-round observation caches.
         "LatticeBackend.execute_round",

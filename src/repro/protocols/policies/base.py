@@ -1,37 +1,36 @@
 """Shared machinery for the native phase drivers.
 
-A native driver is a :class:`PhasePolicy`: a queue of *steps*, one per
-round.  Each step carries the round's direction vector (a precomputed
-list, a callable evaluated at decide time for data-dependent rounds, or
-one of the :data:`REPEAT` / :data:`RESTORE` markers for the paper's
-ubiquitous probe/REVERSEDROUND pairs) and an optional *harvest* hook run
-after the round with the whole population's observations.  The
-scheduler calls :meth:`PhasePolicy.decide` exactly once per round, so a
-whole phase executes with zero per-agent Python dispatch on the
-decision path; harvests write round results straight into the
-population's columns.
+A native driver is a :class:`PhasePolicy`: a queue of *spans*.  Each
+span is a :class:`~repro.ring.stretch.Stretch` plan (or a callable that
+builds one at decide time, for data-dependent rounds) with an optional
+*harvest* hook that receives the span's stretch outcome.  The scheduler
+calls :meth:`PhasePolicy.decide` once per span, so a whole phase
+executes with zero per-agent Python dispatch on the decision path;
+harvests write round results straight into the population's columns.
 
 Data-dependent drivers (rotation classification, bisection, selective
 family search) extend their own queue from inside a harvest -- the
-queue is empty beyond the current step at that point, so continuation
-steps land in order.
+queue is empty beyond the current span at that point, so continuation
+spans land in order.
 
-Fused stretches: a step pushed with :meth:`PhasePolicy.push_stretch`
-carries a whole :class:`~repro.ring.stretch.Stretch` plan (several
-rounds whose vectors are known up front -- probe/restore pairs, bit
-exchange frames).  ``decide`` returns the plan itself; the scheduler
-executes the span in one backend call on stretch-capable backends and
-the step's harvest receives the columnar *stretch outcome* instead of
-one round's observations.  :meth:`PhasePolicy.push_probe` plans the
-paper's probe/REVERSEDROUND pair as one such span, so every
-``push_probe``-based driver fuses automatically.  Restore rounds are
-executed and counted like any other round (the paper's accounting);
-on a stretch-capable backend their observations never materialise.
+Every native round is part of a span.  :meth:`PhasePolicy.
+push_probe_span` plans the paper's probe/REVERSEDROUND pair,
+:meth:`PhasePolicy.push_restore` reverses the last row played, and
+phases that drive the scheduler directly hand their spans to
+:meth:`~repro.core.scheduler.Scheduler.run_stretch`.  On a
+stretch-capable backend (``array``) a span runs fused in one backend
+call and its restore rounds never materialise observations; on
+``fraction``, under a fault plan and under cross-validation it replays
+round by round behind the same outcome surface (``dists(j)``,
+``colls(j)``, ...).  Restore rounds are executed and counted like any
+other round (the paper's accounting).
 
-Vector helpers mirror the legacy per-agent vocabulary:
-:func:`aligned_vector` is the column form of
-:func:`repro.protocols.base.aligned_direction`, :func:`common_dists` of
-:func:`repro.protocols.base.common_dist`.
+Rows are direction vectors or local sign rows;
+:meth:`PhasePolicy.sign_row` builds a sign row in the representation
+the backend reads (int8 under numpy, an int list otherwise).  Vector
+helpers mirror the legacy per-agent vocabulary: :func:`aligned_vector`
+is the column form of :func:`repro.protocols.base.aligned_direction`,
+:func:`common_dists` of :func:`repro.protocols.base.common_dist`.
 """
 
 from __future__ import annotations
@@ -45,43 +44,20 @@ from repro.core.agent import AgentView
 from repro.core.population import MISSING, Population
 from repro.core.scheduler import Scheduler
 from repro.exceptions import ProtocolError
-from repro.ring.stretch import (
-    Stretch,
-    opposite_row,
-    row_directions,
-    row_is_signs,
-)
-from repro.types import LocalDirection, Observation, RoundOutcome
+from repro.ring.stretch import Row, Stretch, opposite_row
+from repro.types import LocalDirection, RoundOutcome
 
 RIGHT = LocalDirection.RIGHT
 LEFT = LocalDirection.LEFT
 IDLE = LocalDirection.IDLE
 
-#: Step marker: play the previous round's vector again.
-REPEAT = type("_Repeat", (), {"__repr__": lambda self: "<repeat>"})()
-#: Step marker: play the opposite of the previous round's vector (the
-#: paper's REVERSEDROUND).
-RESTORE = type("_Restore", (), {"__repr__": lambda self: "<restore>"})()
-
 Vector = List[LocalDirection]
-VectorSpec = Union[Vector, Callable[[], Vector], Any]
-Harvest = Callable[[Sequence[Observation]], None]
-#: Harvest signature of a fused step: receives the stretch outcome.
+#: A row, or a callable building one at decide time.
+VectorSpec = Union[Row, Callable[[], Row]]
+#: A span, or a callable building one at decide time.
+StretchSpec = Union[Stretch, Callable[[], Stretch]]
+#: Harvest signature of a span: receives the stretch outcome.
 StretchHarvest = Callable[[Any], None]
-
-
-class _StretchStep:
-    """Queue marker wrapping a :class:`Stretch` (or its builder)."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: Any) -> None:
-        self.spec = spec
-
-
-def opposite_vector(vector: Sequence[LocalDirection]) -> Vector:
-    """The whole-population REVERSEDROUND of ``vector``."""
-    return [d.opposite() for d in vector]
 
 
 def aligned_vector(
@@ -95,14 +71,13 @@ def aligned_vector(
 
 
 def common_dists(
-    flips: Sequence[bool], observations: Sequence[Observation]
+    flips: Sequence[bool], dists: Sequence[Fraction]
 ) -> List[Fraction]:
-    """Each slot's ``dist()`` converted into the common frame."""
+    """Each slot's ``dist()`` (one round's dist column) converted into
+    the common frame."""
     return [
-        (Fraction(1) - o.dist if o.dist != 0 else Fraction(0))
-        if f
-        else o.dist
-        for f, o in zip(flips, observations)
+        (Fraction(1) - d if d != 0 else Fraction(0)) if f else d
+        for f, d in zip(flips, dists)
     ]
 
 
@@ -118,13 +93,13 @@ def require_column(
 
 
 class PhasePolicy(Policy):
-    """A native phase driver: a self-scheduling queue of round steps.
+    """A native phase driver: a self-scheduling queue of spans.
 
-    Subclasses (or callers, via :meth:`push`) enqueue steps; :meth:`run`
-    drives the scheduler until the queue drains, then calls
-    :meth:`finalize`.  ``decide`` resolves the head step's vector;
-    ``observe`` pops the step and runs its harvest with the round's
-    observations.
+    Subclasses (or callers, via :meth:`push_stretch` and the helpers
+    built on it) enqueue spans; :meth:`run` drives the scheduler until
+    the queue drains, then calls :meth:`finalize`.  ``decide`` builds
+    the head span; ``observe_stretch`` pops it and runs its harvest
+    with the span's stretch outcome.
     """
 
     def __init__(self, sched: Scheduler) -> None:
@@ -132,37 +107,39 @@ class PhasePolicy(Policy):
         self.population: Population = sched.population
         self.n: int = sched.population.n
         #: numpy when the backend exposes vectorised stretch columns
-        #: (the array backend with numpy installed), else None; fused
-        #: drivers key their internal representation off this.
+        #: (the array backend with numpy installed), else None; drivers
+        #: key their sign rows and harvest columns off this.
         self.xp = sched.array_module
         self._queue: "deque" = deque()
-        #: The most recent row actually played (REPEAT/RESTORE base) --
-        #: a direction vector, or a local sign row under ``xp``.
-        self.last_vector: Optional[Vector] = None
+        #: The last row of the most recent span played (the base of
+        #: :meth:`push_restore` and of a repeated probe).
+        self.last_vector: Optional[Row] = None
+
+    def sign_row(self, signs: Sequence[int]) -> Row:
+        """A local sign row (+1 own RIGHT, -1 own LEFT, 0 idle) in the
+        representation the backend reads: int8 under :attr:`xp`, else
+        an int list."""
+        xp = self.xp
+        if xp is None:
+            return list(signs)
+        return xp.asarray(signs, dtype=xp.int8)
 
     # -- plan construction ----------------------------------------------
 
-    def push(
-        self, vector: VectorSpec, harvest: Optional[Harvest] = None
-    ) -> None:
-        """Enqueue one round: its direction vector (or marker/callable)
-        and an optional post-round harvest."""
-        self._queue.append((vector, harvest))
-
     def push_stretch(
-        self, spec: Any, harvest: Optional[StretchHarvest] = None
+        self, spec: StretchSpec, harvest: Optional[StretchHarvest] = None
     ) -> None:
-        """Enqueue one fused span: a :class:`Stretch` (or a callable
-        building one at decide time) and an optional harvest that
-        receives the whole stretch outcome."""
-        self._queue.append((_StretchStep(spec), harvest))
+        """Enqueue one span: a :class:`Stretch` (or a callable building
+        one at decide time) and an optional harvest that receives the
+        whole stretch outcome."""
+        self._queue.append((spec, harvest))
 
     def push_probe_span(
         self, vector: VectorSpec, harvest: Optional[StretchHarvest] = None
     ) -> None:
-        """Enqueue a probe/REVERSEDROUND pair as one fused span whose
-        harvest receives the *stretch outcome* (round 0 is the probe;
-        the restore round's observations are never read, so on a
+        """Enqueue a probe/REVERSEDROUND pair as one span whose harvest
+        receives the *stretch outcome* (round 0 is the probe; the
+        restore round's observations are never read, so on a
         stretch-capable backend they are never materialised)."""
 
         def build() -> Stretch:
@@ -170,19 +147,6 @@ class PhasePolicy(Policy):
             return Stretch.probe_restore(row)
 
         self.push_stretch(build, harvest)
-
-    def push_probe(
-        self, vector: VectorSpec, harvest: Optional[Harvest] = None
-    ) -> None:
-        """As :meth:`push_probe_span`, with a legacy observation-row
-        harvest: it receives the probe round's materialised
-        observations instead of the stretch outcome."""
-        wrapped: Optional[StretchHarvest] = None
-        if harvest is not None:
-            def wrapped(result, _harvest=harvest):
-                _harvest(result.observations(0))
-
-        self.push_probe_span(vector, wrapped)
 
     def push_restore(self, k: int = 1) -> None:
         """Enqueue ``k`` REVERSEDROUNDs of the last played row as one
@@ -263,44 +227,34 @@ class PhasePolicy(Policy):
 
     @property
     def pending(self) -> int:
-        """Rounds still queued."""
+        """Spans still queued."""
         return len(self._queue)
 
     def decide(self, views: Sequence[AgentView]):
         if not self._queue:
             raise ProtocolError(
-                f"{type(self).__name__} has no round queued"
+                f"{type(self).__name__} has no span queued"
             )
-        vector = self._queue[0][0]
-        if isinstance(vector, _StretchStep):
-            spec = vector.spec
-            stretch = spec() if callable(spec) else spec
-            self.last_vector = stretch.last_row
-            return stretch
-        if vector is REPEAT:
-            vector = self.last_vector
-        elif vector is RESTORE:
-            vector = opposite_row(self.last_vector)
-        elif callable(vector):
-            vector = vector()
-        self.last_vector = vector
-        if row_is_signs(vector):
-            # A plain step may follow a sign-row stretch (REPEAT /
-            # RESTORE): single rounds always run as direction vectors.
-            return row_directions(vector)
-        return vector
+        spec = self._queue[0][0]
+        stretch = spec() if callable(spec) else spec
+        self.last_vector = stretch.last_row
+        return stretch
 
     def observe(
         self, views: Sequence[AgentView], outcome: RoundOutcome
     ) -> None:
-        _vector, harvest = self._queue.popleft()
-        if harvest is not None:
-            harvest(outcome.observations)
+        """Never reached: ``decide`` always returns a span, so the
+        scheduler reports to :meth:`observe_stretch`.  Defined on this
+        class because ``perfbench/tracing.py`` patches it by name."""
+        raise ProtocolError(
+            f"{type(self).__name__} plans spans only; it has no "
+            "single-round step to harvest"
+        )
 
     def observe_stretch(self, views: Sequence[AgentView], result) -> None:
-        """Pop the fused step and run its harvest with the stretch
-        outcome (called by the scheduler instead of ``observe`` when
-        ``decide`` returned a :class:`Stretch`)."""
+        """Pop the head span and run its harvest with the span's
+        stretch outcome (the scheduler's report for every span
+        ``decide`` returns)."""
         _spec, harvest = self._queue.popleft()
         if harvest is not None:
             harvest(result)
@@ -320,11 +274,3 @@ class PhasePolicy(Policy):
     def finalize(self) -> None:
         """Post-run conclusion (column writes); default no-op."""
 
-
-def run_vector(sched: Scheduler, vector: Vector) -> Sequence[Observation]:
-    """Run one ad-hoc round from a precomputed vector; returns the
-    population's observations for that round."""
-    from repro.api.policy import VectorPolicy
-
-    outcome = sched.run_round(VectorPolicy(vector))
-    return outcome.observations

@@ -9,20 +9,19 @@ chirality-corrected register shuffle between them.
 :class:`RelayFloodPolicy` plans the *entire* flood as one policy --
 ``8 * (width + 1) * distance`` rounds -- whose vectors are evaluated
 lazily from the relay registers, so the whole dissemination runs with
-one ``decide`` per round and zero per-agent dispatch.
+one ``decide`` per bit exchange and zero per-agent dispatch.
 
-Fused execution: each bit exchange is planned as ONE four-round
-:class:`~repro.ring.stretch.Stretch` -- probe, double restore, closing
-restore -- decided in a single call.  On a stretch-capable backend
-(``--backend array`` with numpy) the entire exchange runs vectorised:
-the probe vectors are int8 sign rows built from the bit column, the
-two restore rounds never materialise observations, and decoding
-compares raw integer ``coll()`` numerators against precomputed gap
-numerators -- one numpy compare per side instead of 2n Fraction
-comparisons.  Frame folding and the relay register shuffle follow the
-same integer columns (``-1`` encodes "no value").  Without a stretch
-backend the policies keep the legacy per-round plan and per-agent
-decode, bit-exact with the callback driver.
+Each bit exchange is ONE four-round :class:`~repro.ring.stretch.Stretch`
+``[s, -s, -s, s]`` -- probe, double restore, closing restore -- over
+the local sign row ``s`` of the bit column (int8 under numpy, an int
+list otherwise).  On the array backend with numpy the exchange runs
+fused: the two restore rounds never materialise observations, and
+decoding compares raw integer ``coll()`` numerators against
+precomputed gap numerators -- one numpy compare per side instead of 2n
+Fraction comparisons.  Frame folding and the relay register shuffle
+follow the same integer columns (``-1`` encodes "no value").  Without
+numpy columns the same span decodes per agent from its ``colls(j)``
+Fractions, bit-exact with the callback driver.
 """
 
 from __future__ import annotations
@@ -42,15 +41,9 @@ from repro.protocols.neighbor_discovery import (
     KEY_SAME_LEFT,
     KEY_SAME_RIGHT,
 )
-from repro.protocols.policies.base import (
-    LEFT,
-    PhasePolicy,
-    REPEAT,
-    RESTORE,
-    RIGHT,
-)
-from repro.ring.stretch import Stretch
-from repro.types import Model, Observation
+from repro.protocols.policies.base import PhasePolicy
+from repro.ring.stretch import Stretch, opposite_row
+from repro.types import Model
 
 KEY_FRAME_FROM_RIGHT = "comm.frame_from_right"
 KEY_FRAME_FROM_LEFT = "comm.frame_from_left"
@@ -121,57 +114,53 @@ class BitExchangePolicy(PhasePolicy):
         on_decoded: Optional[Callable] = None,
     ) -> None:
         """Plan one bit exchange: every slot transmits
-        ``bits_provider()[slot]`` to both neighbors.  Decoded bits land
-        in the ``comm.bit_from_right`` / ``comm.bit_from_left`` columns
-        and are passed to ``on_decoded(from_right, from_left)`` (lists
-        on the scalar plan, int64 arrays on the vectorised plan)."""
-        if self.xp is not None:
-            self._push_bit_exchange_fused(bits_provider, on_decoded)
-        else:
-            self._push_bit_exchange_scalar(bits_provider, on_decoded)
-
-    def _push_bit_exchange_scalar(
-        self,
-        bits_provider: Callable[[], Sequence[int]],
-        on_decoded: Optional[Callable[[List[int], List[int]], None]],
-    ) -> None:
-        """The legacy four-step plan (per-round decide, per-agent
-        decode); the bit-exact reference for the fused plan."""
+        ``bits_provider()[slot]`` to both neighbors, as one four-round
+        span.  Decoded bits land in the ``comm.bit_from_right`` /
+        ``comm.bit_from_left`` columns and are passed to
+        ``on_decoded(from_right, from_left)`` (int64 arrays under numpy,
+        int lists otherwise)."""
+        xp = self.xp
         ctx: dict = {}
 
-        def probe_vector():
-            bits = list(bits_provider())
-            for b in bits:
-                if b not in (0, 1):
-                    raise ProtocolError(f"bit_of returned non-bit {b!r}")
+        def build() -> Stretch:
+            provided = bits_provider()
+            if xp is None:
+                bits = list(provided)
+                for b in bits:
+                    if b not in (0, 1):
+                        raise ProtocolError(f"bit_of returned non-bit {b!r}")
+                signs = [1 if b == 1 else -1 for b in bits]
+            else:
+                bits = xp.asarray(provided)
+                if bits.dtype.kind not in "iub":
+                    for b in provided:
+                        if b not in (0, 1):
+                            raise ProtocolError(
+                                f"bit_of returned non-bit {b!r}"
+                            )
+                    raise ProtocolError("bit column is not integral")
+                bad = (bits != 0) & (bits != 1)
+                if bool(bad.any()):
+                    b = bits[bad][0]
+                    raise ProtocolError(
+                        f"bit_of returned non-bit {int(b)!r}"
+                    )
+                bits = bits.astype(xp.int8)
+                signs = xp.where(bits == 1, 1, -1).astype(xp.int8)
             ctx["bits"] = bits
-            return [RIGHT if b == 1 else LEFT for b in bits]
+            # Probe, restore, inverse probe, restore: [s, -s, -s, s].
+            return Stretch(
+                pairs=[(signs, 1), (opposite_row(signs), 2), (signs, 1)]
+            )
 
-        def harvest_probe0(obs: Sequence[Observation]) -> None:
-            ctx["coll0"] = [o.coll for o in obs]
+        def harvest(result) -> None:
+            self._decode_exchange(ctx.pop("bits"), result, on_decoded)
 
-        def harvest_probe1(obs: Sequence[Observation]) -> None:
-            ctx["coll1"] = [o.coll for o in obs]
-
-        def decode(_obs: Sequence[Observation]) -> None:
-            bits = ctx.pop("bits")
-            colls = (ctx.pop("coll0"), ctx.pop("coll1"))
-            from_right, from_left = self._decode_scalar(bits, colls)
-            population = self.population
-            population.set_column(KEY_FROM_RIGHT, from_right)
-            population.set_column(KEY_FROM_LEFT, from_left)
-            if on_decoded is not None:
-                on_decoded(from_right, from_left)
-
-        self.push(probe_vector, harvest_probe0)
-        self.push(RESTORE)
-        # After the restore, last_vector is already the inverse probe.
-        self.push(REPEAT, harvest_probe1)
-        self.push(RESTORE, decode)
+        self.push_stretch(build, harvest)
 
     def _decode_scalar(self, bits, colls):
-        """Per-agent channel decode (Prop 31), shared by the scalar
-        plan and the fused plan's exact fallback."""
+        """Per-agent channel decode (Prop 31) from the two probe
+        rounds' ``coll()`` Fraction columns."""
         from_right: List[int] = []
         from_left: List[int] = []
         for i in range(self.n):
@@ -198,42 +187,6 @@ class BitExchangePolicy(PhasePolicy):
             )
         return from_right, from_left
 
-    def _push_bit_exchange_fused(
-        self,
-        bits_provider: Callable[[], Sequence[int]],
-        on_decoded: Optional[Callable],
-    ) -> None:
-        """One fused four-round span; whole-column integer decode."""
-        xp = self.xp
-        ctx: dict = {}
-
-        def build() -> Stretch:
-            provided = bits_provider()
-            bits = xp.asarray(provided)
-            if bits.dtype.kind not in "iub":
-                for b in provided:
-                    if b not in (0, 1):
-                        raise ProtocolError(
-                            f"bit_of returned non-bit {b!r}"
-                        )
-                raise ProtocolError("bit column is not integral")
-            bad = (bits != 0) & (bits != 1)
-            if bool(bad.any()):
-                b = bits[bad][0]
-                raise ProtocolError(
-                    f"bit_of returned non-bit {int(b)!r}"
-                )
-            bits = bits.astype(xp.int8)
-            ctx["bits"] = bits
-            signs = xp.where(bits == 1, 1, -1).astype(xp.int8)
-            # Probe, restore, inverse probe, restore: [s, -s, -s, s].
-            return Stretch(pairs=[(signs, 1), (-signs, 2), (signs, 1)])
-
-        def harvest(result) -> None:
-            self._decode_exchange(ctx.pop("bits"), result, on_decoded)
-
-        self.push_stretch(build, harvest)
-
     def _decode_exchange(
         self, bits, result, on_decoded: Optional[Callable]
     ) -> None:
@@ -241,14 +194,11 @@ class BitExchangePolicy(PhasePolicy):
         (round 0 of the span ``result`` is the bit probe, round 2 the
         inverse probe) and publish the result columns."""
         xp = self.xp
-        c0 = result.coll_ints(0)
-        c1 = result.coll_ints(2)
-        if (
-            result.np is not None
-            and c0 is not None
-            and c1 is not None
-            and result.scale == self._scale
-        ):
+        c0 = c1 = None
+        if xp is not None and result.np is not None:
+            c0 = result.coll_ints(0)
+            c1 = result.coll_ints(2)
+        if c0 is not None and c1 is not None and result.scale == self._scale:
             one = bits == 1
             coll_r = xp.where(one, c0, c1)
             coll_l = xp.where(one, c1, c0)
@@ -265,14 +215,17 @@ class BitExchangePolicy(PhasePolicy):
             from_right_col = from_right.tolist()
             from_left_col = from_left.tolist()
         else:
-            # Span executed round by round (cross-validation) or
-            # under a foreign scale: exact per-agent decode.
+            # No numpy columns, a span replayed round by round
+            # (cross-validation) or a foreign scale: exact per-agent
+            # decode.
             colls = (result.colls(0), result.colls(2))
             from_right_col, from_left_col = self._decode_scalar(
-                bits.tolist(), colls
+                bits if xp is None else bits.tolist(), colls
             )
-            from_right = xp.asarray(from_right_col, dtype=xp.int64)
-            from_left = xp.asarray(from_left_col, dtype=xp.int64)
+            from_right, from_left = from_right_col, from_left_col
+            if xp is not None:
+                from_right = xp.asarray(from_right_col, dtype=xp.int64)
+                from_left = xp.asarray(from_left_col, dtype=xp.int64)
         population = self.population
         population.set_column(KEY_FROM_RIGHT, from_right_col)
         population.set_column(KEY_FROM_LEFT, from_left_col)

@@ -2,8 +2,9 @@
 :mod:`repro.protocols.emptiness`).
 
 Same probe rounds per model (Lemma 12), same ``empty.result`` consensus
-column; occupancy evidence is OR-folded over the observation column in
-one pass.
+column.  Each probe and its REVERSEDROUND run as one span, and
+occupancy evidence is OR-folded over the probe's ``dist()`` and
+``coll()`` columns in one pass.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.protocols.policies.base import (
     RIGHT,
     aligned_vector,
     require_column,
-    run_vector,
 )
 from repro.core.agent import id_bits
+from repro.ring.stretch import Stretch
 from repro.types import LocalDirection, Model
 
 
@@ -33,7 +34,8 @@ def _member_round(
     non_member_dir: LocalDirection,
     saw: List[bool],
 ) -> None:
-    """One probe + its reversal; ORs occupancy evidence into ``saw``."""
+    """One probe + its reversal as one span; ORs occupancy evidence
+    into ``saw``."""
     population = sched.population
     flips = require_column(
         population,
@@ -44,12 +46,12 @@ def _member_round(
         RIGHT if agent_id in members else non_member_dir
         for agent_id in population.ids
     ]
-    vector = aligned_vector(flips, commons)
-    obs = run_vector(sched, vector)
-    for i, o in enumerate(obs):
-        if o.dist != 0 or o.coll is not None:
+    result = sched.run_stretch(
+        Stretch.probe_restore(aligned_vector(flips, commons))
+    )
+    for i, (d, c) in enumerate(zip(result.dists(0), result.colls(0))):
+        if d != 0 or c is not None:
             saw[i] = True
-    run_vector(sched, [d.opposite() for d in vector])
 
 
 def emptiness_test(sched: Scheduler, candidate_ids: Iterable[int]) -> bool:

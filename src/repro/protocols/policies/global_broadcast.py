@@ -1,5 +1,6 @@
 """Native rotation-coded broadcast (vectorised twin of
-:mod:`repro.protocols.global_broadcast`)."""
+:mod:`repro.protocols.global_broadcast`): one probe/REVERSEDROUND span
+per bit, decoded from the probe's ``dist()`` column."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from repro.protocols.policies.base import (
     RIGHT,
     aligned_vector,
     require_column,
-    run_vector,
 )
+from repro.ring.stretch import Stretch
 
 
 def broadcast_value(
@@ -53,12 +54,12 @@ def broadcast_value(
             RIGHT if announcers[i] and ((value >> bit) & 1) else LEFT
             for i in range(population.n)
         ]
-        vector = aligned_vector(flips, commons)
-        obs = run_vector(sched, vector)
-        for i, o in enumerate(obs):
-            if o.dist != 0:
+        result = sched.run_stretch(
+            Stretch.probe_restore(aligned_vector(flips, commons))
+        )
+        for i, d in enumerate(result.dists(0)):
+            if d != 0:
                 acc[i] |= 1 << bit
-        run_vector(sched, [d.opposite() for d in vector])
 
     population.set_column(result_key, acc)
     results = set(acc)

@@ -66,14 +66,12 @@ class LeaderElectionPolicy(PhasePolicy):
         bit ``bit`` is 0: members move common-RIGHT, everyone else
         common-LEFT."""
         ids = self.population.ids
-        row = [
+        return self.sign_row([
             sign if candidate and not (ids[i] >> bit) & 1 else -sign
             for i, (candidate, sign) in enumerate(
                 zip(self._candidates, self._right)
             )
-        ]
-        xp = self.xp
-        return row if xp is None else xp.asarray(row, dtype=xp.int8)
+        ])
 
     def _harvest(self, result, bit: int) -> None:
         """File the probe's nonzero-``dist()`` column, then keep the

@@ -459,13 +459,13 @@ def _harvest_block(result, flips, collected, cache, want_totals: bool):
         return totals, scale
     totals = [Fraction(0)] * len(collected) if want_totals else None
     for j in range(result.k):
-        obs = result.observations(j)
+        dists = common_dists(flips, result.dists(j))
         if want_totals:
-            for slot, d in enumerate(common_dists(flips, obs)):
+            for slot, d in enumerate(dists):
                 collected[slot].append(d)
                 totals[slot] += d
         else:
-            for slot, d in enumerate(common_dists(flips, obs)):
+            for slot, d in enumerate(dists):
                 collected[slot].append(d)
     return totals, None
 

@@ -2,25 +2,21 @@
 :mod:`repro.protocols.neighbor_discovery`).
 
 Algorithm 3's whole round plan is static -- 4 rounds per ID bit plus 4
-uniform rounds -- so :class:`NeighborDiscoveryPolicy` precomputes every
-probe vector from the ID column at construction time; harvests file
-collision observations per side, and :meth:`finalize` posts the gap and
-relative-chirality columns.
-
-Every probe/restore pair is planned as one fused
-:class:`~repro.ring.stretch.Stretch`.  On a stretch backend the probe
-vectors are int8 sign rows derived from the ID column in one shot, the
-harvests keep the raw integer ``coll()`` columns (over ``2 * scale``,
-``-1`` = no collision), and :meth:`finalize` reduces the stacked probe
-matrix with masked column minima -- the per-agent work of the legacy
-driver collapses to a handful of numpy reductions plus one interning
-pass for the gap Fractions.
+uniform rounds -- so :class:`NeighborDiscoveryPolicy` plans every probe
+at construction time as a local sign row derived from the ID column,
+each with its REVERSEDROUND as one probe/restore span.  The harvests
+keep each probe's ``coll()`` column: raw integers under numpy (over
+``2 * scale``, ``-1`` = no collision), interned Fractions otherwise.
+:meth:`finalize` posts the gap and relative-chirality columns -- under
+numpy from masked column minima over the stacked probe matrix plus one
+interning pass for the gap Fractions, otherwise from per-slot minima
+exactly as the legacy driver takes them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.agent import id_bits
 from repro.core.scheduler import Scheduler
@@ -31,14 +27,9 @@ from repro.protocols.neighbor_discovery import (
     KEY_SAME_LEFT,
     KEY_SAME_RIGHT,
 )
-from repro.protocols.policies.base import (
-    LEFT,
-    PhasePolicy,
-    RIGHT,
-    Vector,
-    opposite_vector,
-)
-from repro.types import Model, Observation
+from repro.protocols.policies.base import PhasePolicy
+from repro.ring.stretch import Row
+from repro.types import Model
 
 
 class NeighborDiscoveryPolicy(PhasePolicy):
@@ -51,99 +42,51 @@ class NeighborDiscoveryPolicy(PhasePolicy):
                 "neighbor discovery requires the perceptive model"
             )
         super().__init__(sched)
-        population = self.population
         n = self.n
-        ids = population.ids
-        if self.xp is not None and not sched.simulator.cross_validate:
-            self._plan_vectorised(ids)
-            return
-        self._columnar = False
-        self._right_obs: List[List[Fraction]] = [[] for _ in range(n)]
-        self._left_obs: List[List[Fraction]] = [[] for _ in range(n)]
-        self._uniform_r: Optional[List[Optional[Fraction]]] = None
-        self._uniform_l: Optional[List[Optional[Fraction]]] = None
-
-        for bit in range(id_bits(population.id_bound)):
-            vector = [
-                RIGHT if (agent_id >> bit) & 1 else LEFT
-                for agent_id in ids
-            ]
-            self._push_probe(vector)
-            self._push_probe(opposite_vector(vector))
-        self._push_probe([RIGHT] * n, uniform="r")
-        self._push_probe([LEFT] * n, uniform="l")
-
-    # -- vectorised plan -------------------------------------------------
-
-    def _plan_vectorised(self, ids: Sequence[int]) -> None:
-        xp = self.xp
-        n = self.n
-        self._columnar = True
-        self._scale = self.sched.simulator.backend.scale
-        #: Per probe: (moved-own-right bool row, coll int row).
-        self._probe_rows: List[tuple] = []
-        self._uniform_r_ints = None
-        self._uniform_l_ints = None
-        ids_arr = xp.asarray(list(ids), dtype=xp.int64)
+        ids = self.population.ids
+        #: Per probe: (sign row, coll column).
+        self._probes: List[tuple] = []
+        self._uniform_r = None
+        self._uniform_l = None
         for bit in range(id_bits(self.population.id_bound)):
-            signs = xp.where(
-                (ids_arr >> bit) & 1 == 1, 1, -1
-            ).astype(xp.int8)
-            self._push_probe_vec(signs)
-            self._push_probe_vec(-signs)
-        ones = xp.ones(n, dtype=xp.int8)
-        self._push_probe_vec(ones, uniform="r")
-        self._push_probe_vec(-ones, uniform="l")
+            signs = [1 if (agent_id >> bit) & 1 else -1 for agent_id in ids]
+            self._plan_probe(self.sign_row(signs))
+            self._plan_probe(self.sign_row([-s for s in signs]))
+        self._plan_probe(self.sign_row([1] * n), uniform="r")
+        self._plan_probe(self.sign_row([-1] * n), uniform="l")
 
-    def _push_probe_vec(self, signs, uniform: Optional[str] = None) -> None:
-        """Fused probe/restore pair keeping the integer coll column."""
+    def _plan_probe(self, signs: Row, uniform: Optional[str] = None) -> None:
+        """Probe/restore span; the harvest files the probe's coll
+        column with the row that produced it."""
 
         def harvest(result) -> None:
-            coll = result.coll_ints(0)
-            if coll is None or result.np is None:
-                # Span executed round by round: rebuild the integer
-                # column exactly (colls are on the 1/(2*scale) grid).
-                twice = 2 * self._scale
-                coll = self.xp.asarray(
-                    [
-                        -1 if c is None else int(c * twice)
-                        for c in result.colls(0)
-                    ],
-                    dtype=self.xp.int64,
-                )
-            self._probe_rows.append((signs > 0, coll))
+            xp = self.xp
+            if xp is None:
+                coll = result.colls(0)
+            else:
+                coll = result.coll_ints(0)
+                if coll is None or result.np is None:
+                    # Span replayed round by round (cross-validation):
+                    # rebuild the integer column exactly (colls are on
+                    # the 1/(2*scale) grid).
+                    twice = 2 * self.sched.simulator.backend.scale
+                    coll = xp.asarray(
+                        [
+                            -1 if c is None else int(c * twice)
+                            for c in result.colls(0)
+                        ],
+                        dtype=xp.int64,
+                    )
+            self._probes.append((signs, coll))
             if uniform == "r":
-                self._uniform_r_ints = coll
+                self._uniform_r = coll
             elif uniform == "l":
-                self._uniform_l_ints = coll
+                self._uniform_l = coll
 
         self.push_probe_span(signs, harvest)
 
-    # -- legacy plan -----------------------------------------------------
-
-    def _push_probe(
-        self, vector: Vector, uniform: Optional[str] = None
-    ) -> None:
-        """Information round + REVERSEDROUND; the harvest files each
-        slot's coll() by the direction that slot moved."""
-
-        def harvest(obs: Sequence[Observation]) -> None:
-            right_obs = self._right_obs
-            left_obs = self._left_obs
-            for i, o in enumerate(obs):
-                if o.coll is not None:
-                    (right_obs if vector[i] is RIGHT else left_obs)[
-                        i
-                    ].append(o.coll)
-            if uniform == "r":
-                self._uniform_r = [o.coll for o in obs]
-            elif uniform == "l":
-                self._uniform_l = [o.coll for o in obs]
-
-        self.push_probe(vector, harvest)
-
     def finalize(self) -> None:
-        if self._columnar:
+        if self.xp is not None:
             self._finalize_vectorised()
             return
         population = self.population
@@ -151,9 +94,16 @@ class NeighborDiscoveryPolicy(PhasePolicy):
         gap_left: List[Fraction] = []
         same_right: List[bool] = []
         same_left: List[bool] = []
-        for i in range(self.n):  # lint: allow[per-agent-loop] -- documented scalar fallback for ragged observation lists; the columnar path takes _finalize_vectorised above
-            right_obs = self._right_obs[i]
-            left_obs = self._left_obs[i]
+        probes = self._probes
+        for i in range(self.n):  # lint: allow[per-agent-loop] -- list-row finalize over ragged per-slot minima; the numpy path takes _finalize_vectorised above
+            right_obs = [
+                coll[i] for signs, coll in probes
+                if signs[i] > 0 and coll[i] is not None
+            ]
+            left_obs = [
+                coll[i] for signs, coll in probes
+                if signs[i] < 0 and coll[i] is not None
+            ]
             if not right_obs or not left_obs:
                 raise ProtocolError(
                     f"agent {population.ids[i]} saw no collision on one "
@@ -175,8 +125,8 @@ class NeighborDiscoveryPolicy(PhasePolicy):
     def _finalize_vectorised(self) -> None:
         xp = self.xp
         population = self.population
-        colls = xp.stack([row for _m, row in self._probe_rows])
-        moved_right = xp.stack([m for m, _row in self._probe_rows])
+        colls = xp.stack([coll for _signs, coll in self._probes])
+        moved_right = xp.stack([signs > 0 for signs, _coll in self._probes])
         seen = colls >= 0
         none_seen = 1 << 62
         right_min = xp.min(
@@ -204,10 +154,10 @@ class NeighborDiscoveryPolicy(PhasePolicy):
             KEY_GAP_LEFT, [frac1(v) for v in left_min.tolist()]
         )
         population.set_column(
-            KEY_SAME_RIGHT, (self._uniform_r_ints != right_min).tolist()
+            KEY_SAME_RIGHT, (self._uniform_r != right_min).tolist()
         )
         population.set_column(
-            KEY_SAME_LEFT, (self._uniform_l_ints != left_min).tolist()
+            KEY_SAME_LEFT, (self._uniform_l != left_min).tolist()
         )
 
 

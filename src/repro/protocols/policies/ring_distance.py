@@ -5,6 +5,9 @@ Same Algorithm 5 phases -- seed flood, y-phase Shift(-k/2) blocks,
 z-phase Shift(k), match, label flood, CheckCompleteness -- with every
 Shift vector built in one pass from the label column and every flood
 running through :class:`~repro.protocols.policies.bitcomm.RelayFloodPolicy`.
+Each Shift block and its REVERSEDROUNDs run as one span: the y-phase's
+k rounds plus their k restores, the z-phase and the completeness check
+as probe/restore pairs.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from repro.protocols.policies.base import (
     Vector,
     aligned_vector,
     common_dists,
-    opposite_vector,
     require_column,
-    run_vector,
 )
 from repro.protocols.policies.bitcomm import RelayFloodPolicy
 from repro.protocols.policies.global_broadcast import broadcast_value
@@ -40,6 +41,7 @@ from repro.protocols.ring_distance import (
     KEY_IS_LAST,
     _LEADER_MARKER_DISTANCE,
 )
+from repro.ring.stretch import Stretch, opposite_row
 from repro.types import Model
 
 
@@ -98,7 +100,8 @@ def _seed_labels_from_leader(sched: Scheduler) -> None:
 
 
 def _check_completeness(sched: Scheduler) -> bool:
-    """One probe + restore; True iff a_n (hence everyone) is labelled."""
+    """One probe/restore span; True iff a_n (hence everyone) is
+    labelled."""
     population = sched.population
     labels = population.column(KEY_LABEL)
     is_last = population.column(KEY_IS_LAST)
@@ -107,11 +110,10 @@ def _check_completeness(sched: Scheduler) -> bool:
         RIGHT if is_last[i] and labels[i] else LEFT
         for i in range(population.n)
     ]
-    vector = aligned_vector(flips, commons)
-    obs = run_vector(sched, vector)
-    done = obs[0].dist != 0
-    run_vector(sched, opposite_vector(vector))
-    return done
+    result = sched.run_stretch(
+        Stretch.probe_restore(aligned_vector(flips, commons))
+    )
+    return result.dists(0)[0] != 0
 
 
 def ring_distances(sched: Scheduler, on_iteration=None) -> None:
@@ -139,30 +141,26 @@ def ring_distances(sched: Scheduler, on_iteration=None) -> None:
     for i in range(1, max_iterations + 1):
         k = 1 << i
 
-        # --- y-phase -------------------------------------------------
+        # --- y-phase: k Shift(-k/2) rounds, then their k restores ----
+        shift = _shift_vector(labels, flips, k // 2, low_right=False)
+        result = sched.run_stretch(
+            Stretch(pairs=[(shift, k), (opposite_row(shift), k)])
+        )
         ys: List[List[Fraction]] = [[] for _ in range(n)]
-        for _j in range(k):
-            obs = run_vector(
-                sched, _shift_vector(labels, flips, k // 2, low_right=False)
-            )
-            for slot, d in enumerate(common_dists(flips, obs)):
+        for j in range(k):
+            for slot, d in enumerate(common_dists(flips, result.dists(j))):
                 if d == 0:
                     raise ProtocolError(
                         "Shift(-k/2) had rotation 0: k reached n; "
                         "the completeness check should have fired earlier"
                     )
                 ys[slot].append(Fraction(1) - d)  # lint: allow[fraction-hot-path] -- y-phase harvest off common_dists, the documented Fraction boundary of this protocol
-        for _j in range(k):
-            run_vector(
-                sched, _shift_vector(labels, flips, k // 2, low_right=True)
-            )
 
-        # --- z-phase -------------------------------------------------
-        obs = run_vector(
-            sched, _shift_vector(labels, flips, k, low_right=True)
-        )
-        zs = [o.coll for o in obs]
-        run_vector(sched, _shift_vector(labels, flips, k, low_right=False))
+        # --- z-phase: Shift(k) and its restore --------------------------
+        result = sched.run_stretch(Stretch.probe_restore(
+            _shift_vector(labels, flips, k, low_right=True)
+        ))
+        zs = result.colls(0)
 
         # --- match ----------------------------------------------------
         fresh = [False] * n

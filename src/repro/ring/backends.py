@@ -174,6 +174,21 @@ def _dist_row_pair(
     return rows
 
 
+def _intern(table: Dict[int, Fraction], numerator: int,
+            denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)``, one object per numerator.
+
+    ``table`` belongs to one denominator: a backend keeps one per
+    scale (replaced, never cleared, on a resync) and a fused span
+    keeps the ones it executed under, so a late read interns through
+    the scale its numerators are over.
+    """
+    value = table.get(numerator)
+    if value is None:
+        value = table[numerator] = Fraction(numerator, denominator)
+    return value
+
+
 def _coll_spec(velocities: Sequence[int]) -> List[Tuple[int, int]]:
     """Per agent of an idle-free mixed round, ``(rel, hops)``: its
     first-collision arc spans ``hops`` slots starting ``rel`` slots from
@@ -323,11 +338,7 @@ class LatticeBackend(KinematicsBackend):
 
     def _frac2(self, numerator: int) -> Fraction:
         """Interned ``Fraction(numerator, 2 * scale)``."""
-        value = self._fracs2.get(numerator)
-        if value is None:
-            value = Fraction(numerator, 2 * self.scale)
-            self._fracs2[numerator] = value
-        return value
+        return _intern(self._fracs2, numerator, 2 * self.scale)
 
     def _pattern(
         self, velocities: Tuple[int, ...], need_coll: bool
@@ -519,11 +530,7 @@ class LatticeBackend(KinematicsBackend):
 
     def _frac1(self, numerator: int) -> Fraction:
         """Interned ``Fraction(numerator, scale)``."""
-        value = self._fracs1.get(numerator)
-        if value is None:
-            value = Fraction(numerator, self.scale)
-            self._fracs1[numerator] = value
-        return value
+        return _intern(self._fracs1, numerator, self.scale)
 
     def _validate_events(
         self,
@@ -621,14 +628,19 @@ class _FusedSpan:
 
     Captured when the span executes: the backend's slot prefix sums
     (doubled, on the vectorised path) and chirality mask, the scale,
-    the start offset, the per-round rotations and the planned rows.
-    ``_sync`` replaces those arrays instead of mutating them, so a
-    resync between execution and the first read (an external position
-    write bumps ``state.version``) cannot change the columns.
+    the start offset, the per-round rotations and the planned rows,
+    and the interning tables its Fractions and Observations come from.
+    ``_sync`` replaces those arrays and tables instead of mutating
+    them, so a resync between execution and a read (an external
+    position write bumps ``state.version``) changes neither the
+    columns nor the values they intern to.  The span holds no
+    reference to the backend, so a backend's span memo forms no
+    reference cycle with it.
     """
 
     __slots__ = ("np", "n", "scale", "start", "rotations", "rows",
-                 "need_coll", "prefix", "chir", "base", "dist_memo")
+                 "need_coll", "prefix", "chir", "base", "dist_memo",
+                 "fracs1", "fracs2", "obs_plain", "obs_coll")
 
     def __init__(self, backend: "ArrayBackend", rotations: List[int],
                  rows: List[Tuple[_VelocityRow, int]],
@@ -641,6 +653,10 @@ class _FusedSpan:
         self.rotations = rotations
         self.rows = rows
         self.need_coll = need_coll
+        self.fracs1 = backend._fracs1
+        self.fracs2 = backend._fracs2
+        self.obs_plain = backend._obs_plain
+        self.obs_coll = backend._obs_coll
         if np is not None:
             self.prefix = backend._p2
             self.chir = backend._chir_np
@@ -773,9 +789,10 @@ class ArrayStretchResult:
     ``-1`` encoding "no collision".  A span nobody reads (a restore
     round, a contention slot) never computes either.  Per-agent
     :class:`~repro.types.Observation` rows materialise only when
-    something reads them, through the owning backend's interning tables
-    (so a materialised row is bit-identical to, and shares objects
-    with, the scalar path's output).
+    something reads them, through the interning tables the span
+    captured from its backend (so a materialised row is bit-identical
+    to, and shares objects with, the scalar path's output at that
+    scale).  A result holds no reference to its backend.
 
     ``np`` is the numpy module when the columns are int64 ndarrays
     (vectorised consumers branch on it), else None (stdlib ``array``
@@ -784,12 +801,11 @@ class ArrayStretchResult:
     """
 
     __slots__ = (
-        "_backend", "k", "n", "scale", "rotations", "collision_events",
+        "k", "n", "scale", "rotations", "collision_events",
         "np", "_span", "_dist", "_coll", "_obs",
     )
 
-    def __init__(self, backend: "ArrayBackend", span: _FusedSpan) -> None:
-        self._backend = backend
+    def __init__(self, span: _FusedSpan) -> None:
         self._span = span
         self.rotations = span.rotations
         self.k = len(span.rotations)
@@ -843,9 +859,7 @@ class ArrayStretchResult:
             raise SimulationError(
                 f"cannot keep {kept} of a {self.k}-round stretch"
             )
-        result = ArrayStretchResult(
-            self._backend, self._span.truncated(kept)
-        )
+        result = ArrayStretchResult(self._span.truncated(kept))
         if self._dist is not None:
             result._dist = self._dist[:kept]
         if self._coll is not None:
@@ -857,12 +871,14 @@ class ArrayStretchResult:
         cached = self._obs.get(j)
         if cached is not None:
             return cached
-        backend = self._backend
+        span = self._span
+        fracs1, scale = span.fracs1, span.scale
+        obs_plain = span.obs_plain
+        obs_coll = span.obs_coll
         # Same adversarial-growth bound the scalar hot path applies to
         # the shared interning tables.
-        if len(backend._obs_coll) > 1 << 18:
-            backend._obs_coll.clear()
-            backend._obs_quarter.clear()
+        if len(obs_coll) > 1 << 18:
+            obs_coll.clear()
         np = self.np
         dn = self.dist_ints(j)
         dn = dn.tolist() if np is not None else list(dn)
@@ -871,35 +887,24 @@ class ArrayStretchResult:
             cn = cn.tolist() if np is not None else list(cn)
         n = self.n
         obs_list: List[Observation] = [None] * n  # type: ignore[list-item]
-        if cn is None:
-            obs_plain = backend._obs_plain
-            for i in range(n):
-                d = dn[i]
+        for i in range(n):
+            d = dn[i]
+            a = -1 if cn is None else cn[i]
+            if a < 0:
                 ob = obs_plain.get(d)
                 if ob is None:
-                    ob = Observation(dist=backend._frac1(d))
-                    obs_plain[d] = ob
-                obs_list[i] = ob
-        else:
-            obs_plain = backend._obs_plain
-            obs_coll = backend._obs_coll
-            for i in range(n):
-                d = dn[i]
-                a = cn[i]
-                if a < 0:
-                    ob = obs_plain.get(d)
-                    if ob is None:
-                        ob = Observation(dist=backend._frac1(d))
-                        obs_plain[d] = ob
-                else:
-                    key = (d, a)
-                    ob = obs_coll.get(key)
-                    if ob is None:
-                        ob = Observation(
-                            dist=backend._frac1(d), coll=backend._frac2(a)
-                        )
-                        obs_coll[key] = ob
-                obs_list[i] = ob
+                    ob = obs_plain[d] = Observation(
+                        dist=_intern(fracs1, d, scale)
+                    )
+            else:
+                key = (d, a)
+                ob = obs_coll.get(key)
+                if ob is None:
+                    ob = obs_coll[key] = Observation(
+                        dist=_intern(fracs1, d, scale),
+                        coll=_intern(span.fracs2, a, 2 * scale),
+                    )
+            obs_list[i] = ob
         cached = tuple(obs_list)
         self._obs[j] = cached
         return cached
@@ -914,11 +919,11 @@ class ArrayStretchResult:
 
     def dists(self, j: int) -> List[Fraction]:
         """Round ``j``'s dist column as interned Fractions."""
-        backend = self._backend
+        span = self._span
         dn = self.dist_ints(j)
         dn = dn.tolist() if self.np is not None else dn
-        frac1 = backend._frac1
-        return [frac1(d) for d in dn]
+        fracs1, scale = span.fracs1, span.scale
+        return [_intern(fracs1, d, scale) for d in dn]
 
     def colls(self, j: int) -> List[Optional[Fraction]]:
         """Round ``j``'s coll column (None cells where no collision)."""
@@ -926,9 +931,9 @@ class ArrayStretchResult:
         if cn is None:
             return [None] * self.n
         cn = cn.tolist() if self.np is not None else cn
-        backend = self._backend
-        frac2 = backend._frac2
-        return [None if a < 0 else frac2(a) for a in cn]
+        span = self._span
+        fracs2, twice = span.fracs2, 2 * span.scale
+        return [None if a < 0 else _intern(fracs2, a, twice) for a in cn]
 
 
 class ArrayBackend(LatticeBackend):
@@ -1174,7 +1179,7 @@ class ArrayBackend(LatticeBackend):
             rotations += [row.r] * count
             r_total += row.r * count
         span = _FusedSpan(self, rotations, rows, need_coll)
-        return ArrayStretchResult(self, span), r_total % self.n
+        return ArrayStretchResult(span), r_total % self.n
 
     def _commit_span(self, rounds: int, r_total: int) -> None:
         """Advance the offset and lazily commit ``rounds`` rounds."""

@@ -281,21 +281,3 @@ class RingSimulator:
             neg = int((velocities < 0).sum())
         r = ((pos - neg) * k) % self.state.n
         self.state.apply_rotation(r)
-
-    def execute_objective(self, velocities: Sequence[int]) -> RoundOutcome:
-        """Run one round from objective velocities (testing/tooling hook).
-
-        Bypasses chirality mapping; still enforces the idle rule.
-        """
-        n = self.state.n
-        dirs: List[LocalDirection] = []
-        for i in range(n):
-            v = velocities[i]
-            if v == 0:
-                dirs.append(LocalDirection.IDLE)
-            else:
-                local_cw = v * int(self.state.chiralities[i])
-                dirs.append(
-                    LocalDirection.RIGHT if local_cw > 0 else LocalDirection.LEFT
-                )
-        return self.execute(dirs)

@@ -159,7 +159,8 @@ class Stretch:
 
     @property
     def last_row(self) -> Row:
-        """The final round's row (the REPEAT/RESTORE base afterwards)."""
+        """The final round's row (what a following REVERSEDROUND
+        reverses)."""
         return self.pairs[-1][0]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

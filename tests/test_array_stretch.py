@@ -1,7 +1,7 @@
 """Fused-stretch execution: plans, laziness, and zero per-round
 overhead on the array backend.
 
-Three guarantees are pinned here:
+The guarantees pinned here:
 
 * **Equivalence** -- registry protocols run unchanged (same rounds,
   positions, logs, final memory) under ``backend="array"`` for both the
@@ -13,6 +13,10 @@ Three guarantees are pinned here:
 * **Zero per-round dispatch** -- a fused span performs zero per-round
   ``decide()`` calls and zero per-agent memory-adapter accesses (the
   companion of PR 3's zero-ChoiceFn assertion, one level down).
+* **Spans only** -- native pipelines run no round outside a span.
+* **Captured scale** -- a span read after a rescaling resync interns
+  through the scale it ran under, and results hold no backend, so a
+  finished session leaves no reference cycle behind.
 """
 
 import pytest
@@ -432,3 +436,116 @@ class TestContentionIdleSlots:
             n=16, model="basic", backend="fraction", seed=seed
         ).run(protocol)
         assert result.to_dict() == reference.to_dict()
+
+
+class TestNativeRoundsAreSpans:
+    """Every native round is planned as a span: on array the native
+    pipelines send no round through ``RingSimulator.execute`` except
+    from inside ``execute_stretch`` (where a span the backend declines
+    replays).  Holds on both numpy axes: without numpy the spans run
+    fused over stdlib arrays."""
+
+    @pytest.mark.parametrize("protocol,model,n,common_sense", [
+        # Even n: neighbor discovery, RingDist, broadcast, Alg 6.
+        ("location-discovery", "perceptive", 16, False),
+        # Odd n: Lemma 13 emptiness tests, rotation-2 sweep.
+        ("location-discovery", "basic", 17, False),
+        ("coordination", "basic", 17, False),
+        ("coordination", "lazy", 17, False),
+        ("coordination", "perceptive", 17, False),
+        ("location-discovery", "perceptive", 16, True),
+    ])
+    def test_no_scalar_rounds(
+        self, monkeypatch, protocol, model, n, common_sense
+    ):
+        depth = [0]
+        scalar = [0]
+        execute = RingSimulator.execute
+        execute_stretch = RingSimulator.execute_stretch
+
+        def counted_execute(self, directions):
+            if not depth[0]:
+                scalar[0] += 1
+            return execute(self, directions)
+
+        def nested_stretch(self, stretch):
+            depth[0] += 1
+            try:
+                return execute_stretch(self, stretch)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(RingSimulator, "execute", counted_execute)
+        monkeypatch.setattr(RingSimulator, "execute_stretch", nested_stretch)
+        session = RingSession(
+            n=n, model=model, backend="array", seed=3,
+            common_sense=common_sense,
+        )
+        result = session.run(protocol)
+        assert result.rounds > 0
+        assert scalar[0] == 0
+
+
+class TestLateReads:
+    """A span's columns read after a resync that changes the shared
+    denominator still intern through the scale the span ran under."""
+
+    def test_read_after_rescaling_resync_matches_fraction(self):
+        vec = [R, L, R, R, L, R, R, L]
+        seen = {}
+        for backend in ("array", "fraction"):
+            state = random_configuration(8, seed=2)
+            sched = Scheduler(state, Model.PERCEPTIVE, backend=backend)
+            result = sched.run_stretch(Stretch.probe_restore(vec))
+            # Halving every position doubles the shared denominator;
+            # the next round resyncs the backend to it.
+            state.positions = [p / 2 for p in state.positions]
+            sched.simulator.execute(vec)
+            if backend == "array":
+                assert sched.simulator.backend.scale != result.scale
+            seen[backend] = (
+                result.dists(0), result.colls(0), result.observations(0)
+            )
+        assert seen["array"] == seen["fraction"]
+
+
+class TestNoBackendCycles:
+    """A finished session leaves no reference cycle through its array
+    backend: a fused span's result reaches its interning tables through
+    the span, not through the backend whose memo keeps the result."""
+
+    @pytest.mark.parametrize("protocol,model,n", [
+        ("location-discovery", "perceptive", 12),
+        ("coordination", "basic", 9),
+        ("contention-aloha", "perceptive", 12),
+        ("contention-backoff", "lazy", 12),
+    ])
+    def test_finished_session_leaves_no_backend_in_gc_garbage(
+        self, protocol, model, n
+    ):
+        import gc
+
+        from repro.api.fleet import SessionSpec, run_session_spec
+        from repro.ring.backends import ArrayBackend
+        from repro.ring.state import RingState
+
+        spec = SessionSpec(
+            n=n, protocol=protocol, model=model, backend="array", seed=3
+        )
+        run_session_spec(spec)  # warm import-time and module caches
+        gc.collect()
+        before = len(gc.garbage)
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_session_spec(spec)
+            gc.collect()
+            left = [
+                type(obj).__name__ for obj in gc.garbage[before:]
+                if isinstance(obj, (ArrayBackend, RingState))
+            ]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[before:]
+            gc.collect()
+        assert left == []

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -529,3 +535,33 @@ class TestCliCache:
         with pytest.raises(SystemExit):
             main(["cache", "verify", "--cache-dir", str(tmp_path),
                   "--sample", "0"])
+
+
+class TestCliClosedStdout:
+    """A reader that closes the pipe early (``run --json | head``) is
+    not a fault: the run ends silently with exit 141 (128 + SIGPIPE)."""
+
+    def test_run_json_into_a_closed_pipe(self):
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        # Several MB of JSON: far more than a pipe buffers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "location-discovery",
+             "--model", "lazy", "--n", "512", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=REPO_ROOT, env=env,
+        )
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            _out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert head.startswith(b"{")
+        assert err == b""
+        assert proc.returncode == 141

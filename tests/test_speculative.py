@@ -177,14 +177,14 @@ class TestProbeRestore:
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_push_probe_restores_positions_in_two_rounds(
+    def test_push_probe_span_restores_positions_in_two_rounds(
         self, backend, model
     ):
         sched = fresh_sched(backend, model=model)
         before = sched.state.snapshot()
         policy = PhasePolicy(sched)
         seen = []
-        policy.push_probe(self.VEC, seen.append)
+        policy.push_probe_span(self.VEC, seen.append)
         policy.run()
         assert sched.rounds == 2
         assert sched.state.snapshot() == before
@@ -194,7 +194,11 @@ class TestProbeRestore:
         outcome = ref.simulator.execute(self.VEC)
         assert ref.state.snapshot() != before
         assert len(seen) == 1
-        assert tuple(seen[0]) == outcome.observations
+        result = seen[0]
+        assert result.k == 2
+        assert result.observations(0) == outcome.observations
+        assert result.dists(0) == [o.dist for o in outcome.observations]
+        assert result.colls(0) == [o.coll for o in outcome.observations]
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -213,7 +217,9 @@ class TestProbeRestore:
     def test_restore_rows_stay_unread_on_array(self, model):
         sched = fresh_sched("array", model=model)
         policy = PhasePolicy(sched)
-        policy.push_probe(self.VEC, lambda obs: None)
+        policy.push_probe_span(
+            self.VEC, lambda result: result.observations(0)
+        )
         policy.push_stretch(Stretch(self.VEC, 2))
         policy.push_restore(2)
         policy.run()
