@@ -32,8 +32,9 @@ Usage::
 ``run`` with no protocol lists the registry.  Exit status: 0 on
 success; 1 for a fault ``run`` detects under ``--faults`` or for
 ``lint`` findings; 2 for input that cannot run (one ``repro: error:``
-line); 141 (128 + SIGPIPE) when the reader closes stdout early
-(``run --json | head``), silently.  All structured output
+line); 3 when a run runs out of memory (one ``repro: error: out of
+memory`` line); 141 (128 + SIGPIPE) when the reader closes stdout
+early (``run --json | head``), silently.  All structured output
 (``--json``, ``sweep``) uses exact ``"p/q"`` strings for rationals.
 ``--cache`` (or ``REPRO_CACHE=1``) serves repeated runs from the
 content-addressed run store; fetched results are bit-identical to
@@ -622,6 +623,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE
+    except MemoryError:
+        # The run outgrew the memory it was given: neither a detected
+        # fault (1) nor input that cannot run (2).  One line, exit 3.
+        print(f"{parser.prog}: error: out of memory", file=sys.stderr)
+        return 3
     return int(code) if code else 0
 
 

@@ -148,29 +148,30 @@ class Scheduler:
 
     @property
     def supports_stretch(self) -> bool:
-        """Whether the backend executes fused stretches natively.
+        """Whether spans are handed to the backend whole (fused).
 
-        Always False under an active fault plan: injection rewrites the
-        direction vector round by round, so spans cannot be handed to
-        the backend whole.  Native policies plan the same spans either
-        way; :meth:`run_stretch` then replays each one round by round
-        through the injector.
+        Always False under an active fault plan, where injection
+        rewrites the direction vector round by round, and under
+        cross-validation, where every round runs both engines.  Native
+        policies plan the same spans either way; :meth:`run_stretch`
+        then replays each one round by round.
         """
-        if self._injector is not None:
+        if self._injector is not None or self.simulator.cross_validate:
             return False
         return getattr(self.simulator.backend, "supports_stretch", False)
 
     @property
     def array_module(self):
-        """The numpy module when the backend exposes vectorised stretch
-        columns through it, else None.  Native policies key the leaves
-        of their one span plan off this: int8 or int-list sign rows,
-        integer or Fraction harvest columns.
+        """The numpy module when spans run fused with int64 ndarray
+        columns, else None.  Native policies key the leaves of their
+        one span plan off this: int8 sign rows and ndarray integer
+        columns, or int-list sign rows and int-list integer columns.
+        A policy's ``xp`` is None exactly when its spans' ``result.np``
+        is.
 
         None also when the backend cannot fuse with int64 columns (a
-        shared denominator past 2^61): policies then build int-list
-        sign rows and harvest interned Fractions instead of integer
-        mirrors that would collide with sentinels or overflow int64.
+        shared denominator past 2^61): its spans then replay round by
+        round into int lists, where numerators cannot overflow.
         """
         if not self.supports_stretch:
             return None
@@ -309,7 +310,7 @@ class Scheduler:
             if isinstance(stretch, SpeculativeStretch)
             else None
         )
-        outcomes = MaterialisedStretch()
+        outcomes = MaterialisedStretch(self.state.scale)
         population = self.population
         j = 0
         for row, count in stretch.pairs:
@@ -375,7 +376,7 @@ class Scheduler:
                 outcome = self._execute_round(list(directions))
                 population.record_round(outcome.observations)
             return outcome
-        if self.supports_stretch and not self.simulator.cross_validate:
+        if self.supports_stretch:
             result = self.simulator.execute_stretch(
                 Stretch(directions, k)
             )

@@ -7,8 +7,8 @@ paths *relative to the package root* (``src/repro``) tag each module
 with the rule scopes that apply to it, and
 :data:`FRACTION_BOUNDARY_FUNCTIONS` names the few functions that are
 *allowed* to touch :class:`~fractions.Fraction` inside a hot module --
-the interning constructors and spec-fallback branches that form the
-documented integer/Fraction boundary.
+the interning constructors and spec shadows that form the documented
+integer/Fraction boundary.
 
 One-off sites inside otherwise-hot functions use the inline pragma
 (``# lint: allow[rule] -- reason``) instead; see ``docs/LINTING.md``.
@@ -56,9 +56,10 @@ NATIVE_POLICY_MODULES: Tuple[str, ...] = ("protocols/policies/*.py",)
 NUMPY_GATE_MODULE = "ring/arrayops.py"
 
 #: Functions allowed to construct Fractions inside hot modules: the
-#: interning constructors and the Fraction-spec fallback branches that
-#: form the documented integer boundary.  Keyed by module path; values
-#: are dotted qualnames within the module.
+#: interning constructors and the Fraction-spec shadows that form the
+#: documented integer boundary.  Keyed by module path; values are
+#: dotted qualnames defined in the module (tier-1 checks that each
+#: one is, so no stale entry can whitelist a later reuse of its name).
 FRACTION_BOUNDARY_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "ring/backends.py": frozenset({
         # The interning helper behind LatticeBackend._frac1/_frac2 and
@@ -78,21 +79,12 @@ FRACTION_BOUNDARY_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "IntEquationSystem._spec_equation",
     }),
     "protocols/policies/base.py": frozenset({
-        # Common-frame conversion for the scalar (non-columnar) paths.
+        # Common-frame conversion of a Fraction dist column (RingDist's
+        # y-phase, the documented boundary of that protocol).
         "common_dists",
-    }),
-    "protocols/policies/distances.py": frozenset({
-        # Materialised-round fallback: recovers numerators from
-        # interned Fraction observations.
-        "_round_columns",
-    }),
-    "protocols/policies/location_discovery.py": frozenset({
-        # Lazy gap columns materialise interned Fractions on read.
-        "_GapHarvest.column",
-        # Slot-0 predicate value on the materialised fallback path.
-        "_slot0_common",
-        # Gap-block interning plus the eager Fraction-spec harvest.
-        "_harvest_block",
+        # The one mint for rationals the native harvests publish:
+        # interned Fractions from integer numerators over the scale.
+        "intern_fractions",
     }),
 }
 

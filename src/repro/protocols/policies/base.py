@@ -21,9 +21,10 @@ phases that drive the scheduler directly hand their spans to
 stretch-capable backend (``array``) a span runs fused in one backend
 call and its restore rounds never materialise observations; on
 ``fraction``, under a fault plan and under cross-validation it replays
-round by round behind the same outcome surface (``dists(j)``,
-``colls(j)``, ...).  Restore rounds are executed and counted like any
-other round (the paper's accounting).
+round by round behind the same outcome surface, integer columns
+included (``dist_ints(j)``, ``coll_ints(j)``, ...), so each harvest
+reads integers along one path.  Restore rounds are executed and
+counted like any other round (the paper's accounting).
 
 Rows are direction vectors or local sign rows;
 :meth:`PhasePolicy.sign_row` builds a sign row in the representation
@@ -37,7 +38,16 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.api.policy import Policy
 from repro.core.agent import AgentView
@@ -79,6 +89,25 @@ def common_dists(
         (Fraction(1) - d if d != 0 else Fraction(0)) if f else d
         for f, d in zip(flips, dists)
     ]
+
+
+def intern_fractions(
+    numerators: Iterable[int], scale: int, cache: Dict[int, Fraction]
+) -> List[Optional[Fraction]]:
+    """``Fraction(v, scale)`` for each integer numerator (None for a
+    negative one, the integer columns' "no value"), one object per
+    numerator through ``cache``, which must belong to ``scale``.  The
+    native harvests' one mint for the rationals they publish."""
+    out: List[Optional[Fraction]] = []
+    for v in numerators:
+        if v < 0:
+            out.append(None)
+            continue
+        value = cache.get(v)
+        if value is None:
+            value = cache[v] = Fraction(v, scale)
+        out.append(value)
+    return out
 
 
 def require_column(
@@ -171,20 +200,15 @@ class PhasePolicy(Policy):
         ``on_verdict(nontrivial)`` fires once the verdict is known (the
         trailing restore rounds still execute, as a fused span).
 
-        The probes are single-round stretches so that on a stretch
-        backend the dist columns are read as raw integers -- the
-        half-turn test ``d1 + d2 == 1`` becomes one vectorised integer
-        compare against the shared denominator.
+        The probes are single-round stretches whose dist columns are
+        read as integer numerators, so the half-turn test
+        ``d1 + d2 == 1`` is ``d1 + d2 == scale``: one vectorised
+        compare under numpy, one list pass otherwise.
         """
 
         def first_harvest(result) -> None:
-            d1_ints = result.dist_ints(0)
-            vectorised = d1_ints is not None and result.np is not None
-            if vectorised:
-                zero = int(d1_ints[0]) == 0
-            else:
-                zero = result.observations(0)[0].dist == 0
-            if zero:
+            d1 = result.dist_ints(0)
+            if d1[0] == 0:
                 self.push_restore()
                 on_verdict(False)
                 return
@@ -194,21 +218,12 @@ class PhasePolicy(Policy):
                 return
 
             def second_harvest(result2) -> None:
-                d2_ints = result2.dist_ints(0)
-                if (
-                    vectorised
-                    and d2_ints is not None
-                    and result2.np is not None
-                    and result.scale == result2.scale
-                ):
-                    halfs = (
-                        (d1_ints + d2_ints) == result.scale
-                    ).tolist()
+                d2 = result2.dist_ints(0)
+                scale = result.scale
+                if result.np is not None:
+                    halfs = ((d1 + d2) == scale).tolist()
                 else:
-                    halfs = [
-                        d1 + d2 == 1
-                        for d1, d2 in zip(result.dists(0), result2.dists(0))
-                    ]
+                    halfs = [a + b == scale for a, b in zip(d1, d2)]
                 self.population.set_column("nmove._half", halfs)
                 self.push_restore(2)
                 on_verdict(not halfs[0])

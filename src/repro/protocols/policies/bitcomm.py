@@ -14,14 +14,14 @@ one ``decide`` per bit exchange and zero per-agent dispatch.
 Each bit exchange is ONE four-round :class:`~repro.ring.stretch.Stretch`
 ``[s, -s, -s, s]`` -- probe, double restore, closing restore -- over
 the local sign row ``s`` of the bit column (int8 under numpy, an int
-list otherwise).  On the array backend with numpy the exchange runs
-fused: the two restore rounds never materialise observations, and
-decoding compares raw integer ``coll()`` numerators against
-precomputed gap numerators -- one numpy compare per side instead of 2n
-Fraction comparisons.  Frame folding and the relay register shuffle
-follow the same integer columns (``-1`` encodes "no value").  Without
-numpy columns the same span decodes per agent from its ``colls(j)``
-Fractions, bit-exact with the callback driver.
+list otherwise).  On the array backend the exchange runs fused and the
+two restore rounds never materialise observations.  Decoding compares
+the probes' integer ``coll()`` numerators (over ``2 * scale``) against
+the gap numerators (over ``scale``, derived once from the neighbor
+discovery gaps): one numpy compare per side under numpy, one list pass
+otherwise, never a Fraction comparison.  Under numpy, frame folding
+and the relay register shuffle follow the same integer columns (``-1``
+encodes "no value").
 """
 
 from __future__ import annotations
@@ -75,28 +75,9 @@ class BitExchangePolicy(PhasePolicy):
         self._gap_left = population.column(KEY_GAP_LEFT)
         self._same_right = population.column(KEY_SAME_RIGHT)
         self._same_left = population.column(KEY_SAME_LEFT)
+        self._gap_nums: Optional[tuple] = None
         xp = self.xp
         if xp is not None:
-            # Integer mirrors for the vectorised decode: coll()
-            # numerators are over 2 * scale, so "first collision at
-            # half the gap" becomes an int64 equality against
-            # gap * scale.
-            scale = sched.simulator.backend.scale
-            self._scale = scale
-            self._grn = xp.asarray(
-                [
-                    g.numerator * (scale // g.denominator)
-                    for g in self._gap_right
-                ],
-                dtype=xp.int64,
-            )
-            self._gln = xp.asarray(
-                [
-                    g.numerator * (scale // g.denominator)
-                    for g in self._gap_left
-                ],
-                dtype=xp.int64,
-            )
             self._same_r_arr = xp.asarray(
                 [bool(b) for b in self._same_right], dtype=bool
             )
@@ -158,33 +139,40 @@ class BitExchangePolicy(PhasePolicy):
 
         self.push_stretch(build, harvest)
 
-    def _decode_scalar(self, bits, colls):
+    def _gap_numerators(self, scale: int) -> tuple:
+        """Both gap columns as numerators over ``scale``, built on the
+        first decode (every span of a policy shares one scale).  coll()
+        numerators are over ``2 * scale``, so "first collision at half
+        the gap" is an integer equality against these."""
+        nums = self._gap_nums
+        if nums is None:
+            nums = tuple(
+                [g.numerator * (scale // g.denominator) for g in gaps]
+                for gaps in (self._gap_right, self._gap_left)
+            )
+            xp = self.xp
+            if xp is not None:
+                nums = tuple(xp.asarray(c, dtype=xp.int64) for c in nums)
+            self._gap_nums = nums
+        return nums
+
+    def _decode_lists(self, bits, c0, c1, grn, gln):
         """Per-agent channel decode (Prop 31) from the two probe
-        rounds' ``coll()`` Fraction columns."""
+        rounds' coll numerator lists."""
         from_right: List[int] = []
         from_left: List[int] = []
+        same_right, same_left = self._same_right, self._same_left
         for i in range(self.n):
-            # Index of the probe in which slot i moved own-RIGHT.
-            right_probe = 0 if bits[i] == 1 else 1
-            left_probe = 1 - right_probe
-            approached_r = (
-                colls[right_probe][i] == self._gap_right[i] / 2
-            )
-            approached_l = (
-                colls[left_probe][i] == self._gap_left[i] / 2
-            )
-            r_toward_in_probe0 = (
-                approached_r if right_probe == 0 else not approached_r
-            )
-            l_toward_in_probe0 = (
-                approached_l if left_probe == 0 else not approached_l
-            )
-            from_right.append(
-                int(r_toward_in_probe0 == (not self._same_right[i]))
-            )
-            from_left.append(
-                int(l_toward_in_probe0 == self._same_left[i])
-            )
+            # Each side's collision comes from the probe in which
+            # slot i moved toward it.
+            one = bits[i] == 1
+            coll_r, coll_l = (c0[i], c1[i]) if one else (c1[i], c0[i])
+            approached_r = coll_r == grn[i]
+            approached_l = coll_l == gln[i]
+            r_toward0 = approached_r if one else not approached_r
+            l_toward0 = not approached_l if one else approached_l
+            from_right.append(int(r_toward0 == (not same_right[i])))
+            from_left.append(int(l_toward0 == same_left[i]))
         return from_right, from_left
 
     def _decode_exchange(
@@ -193,17 +181,16 @@ class BitExchangePolicy(PhasePolicy):
         """Decode one exchange from the two probe rounds' coll columns
         (round 0 of the span ``result`` is the bit probe, round 2 the
         inverse probe) and publish the result columns."""
+        grn, gln = self._gap_numerators(result.scale)
+        c0 = result.coll_ints(0)
+        c1 = result.coll_ints(2)
         xp = self.xp
-        c0 = c1 = None
-        if xp is not None and result.np is not None:
-            c0 = result.coll_ints(0)
-            c1 = result.coll_ints(2)
-        if c0 is not None and c1 is not None and result.scale == self._scale:
+        if xp is not None:
             one = bits == 1
             coll_r = xp.where(one, c0, c1)
             coll_l = xp.where(one, c1, c0)
-            appr_r = coll_r == self._grn
-            appr_l = coll_l == self._gln
+            appr_r = coll_r == grn
+            appr_l = coll_l == gln
             r_toward0 = xp.where(one, appr_r, ~appr_r)
             l_toward0 = xp.where(one, ~appr_l, appr_l)
             from_right = (
@@ -215,17 +202,10 @@ class BitExchangePolicy(PhasePolicy):
             from_right_col = from_right.tolist()
             from_left_col = from_left.tolist()
         else:
-            # No numpy columns, a span replayed round by round
-            # (cross-validation) or a foreign scale: exact per-agent
-            # decode.
-            colls = (result.colls(0), result.colls(2))
-            from_right_col, from_left_col = self._decode_scalar(
-                bits if xp is None else bits.tolist(), colls
+            from_right, from_left = self._decode_lists(
+                bits, c0, c1, grn, gln
             )
-            from_right, from_left = from_right_col, from_left_col
-            if xp is not None:
-                from_right = xp.asarray(from_right_col, dtype=xp.int64)
-                from_left = xp.asarray(from_left_col, dtype=xp.int64)
+            from_right_col, from_left_col = from_right, from_left
         population = self.population
         population.set_column(KEY_FROM_RIGHT, from_right_col)
         population.set_column(KEY_FROM_LEFT, from_left_col)

@@ -9,22 +9,24 @@ rank -- which Lemma 41 guarantees on the last Pivot round.  The whole
 n/2 + 3 round schedule is therefore planned as one
 :class:`~repro.ring.stretch.SpeculativeStretch`: the stop predicate
 harvests round ``j``'s observation columns into the equation systems
-and fires once all of them are full rank.  On a stretch-capable backend
-the raw integer dist/coll columns feed straight into
+and fires once all of them are full rank.  On every backend the
+integer dist/coll columns feed straight into
 :class:`~repro.analysis.int_equations.IntEquationSystem` as window
 records over the shared denominator -- no ``Fraction(v, scale)`` per
 cell, and each agent's system is a union-find on prefix sums with O(n)
 integer state.  The solutions materialise as exact Fractions,
 identical to the spec engine's, through one intern dict shared by
 every agent, so the n x n gap table holds about n distinct objects.
-On scalar backends the predicate interleaves with per-round execution
-on the exact-`Fraction` :class:`~repro.analysis.equations.EquationSystem`,
-reproducing the legacy loop bit for bit.  Either way the firing round
-is the schedule's planned end, so the native driver stays bit-exact
-with the callback reference.  ``engine="fraction"`` forces the spec
-engine everywhere (the benchmark's baseline side); ``engine="cross"``
-runs both engines in lockstep and asserts identical rank trajectories
-and solutions.
+A span that replays round by round (``fraction``, a fault plan,
+cross-validation) interleaves the predicate with per-round execution
+and derives the same columns from its rounds.  Either way the firing
+round is the schedule's planned end, so the native driver stays
+bit-exact with the callback reference.  ``engine="fraction"`` interns
+the same integer columns into the exact-`Fraction`
+:class:`~repro.analysis.equations.EquationSystem` spec (the
+benchmark's baseline side); ``engine="cross"`` runs both engines in
+lockstep and asserts identical rank trajectories and solutions, as
+cross-validated runs do.
 
 Reuses the legacy module's pure schedule helpers
 (:func:`~repro.protocols.distances.convolution_direction`,
@@ -56,6 +58,7 @@ from repro.protocols.policies.base import (
     LEFT,
     RIGHT,
     aligned_vector,
+    intern_fractions,
 )
 from repro.ring.stretch import SpeculativeStretch
 from repro.types import Model
@@ -78,100 +81,23 @@ def _schedule(n: int) -> List[_ScheduleEntry]:
     return entries
 
 
-def _round_columns(result, j: int, flips, cache: Dict[int, Fraction]):
-    """Round ``j``'s common-frame dists and doubled colls as Fractions.
-
-    Returns ``(dists, colls2)`` where ``colls2[slot]`` is ``2 * coll``
-    (the Prop 4/37 window right-hand side) or None.  Raw integer
-    columns go through one interning cache; the materialised-round
-    fallback mirrors the legacy per-agent arithmetic bit for bit.
-    """
-    ints = result.dist_ints(j)
-    if ints is not None:
-        scale = result.scale
-        raw = ints.tolist() if result.np is not None else list(ints)
-        dists: List[Fraction] = []
-        for flip, v in zip(flips, raw):
-            if flip and v:
-                v = scale - v
-            value = cache.get(v)
-            if value is None:
-                value = cache[v] = Fraction(v, scale)
-            dists.append(value)
-        craw = result.coll_ints(j)
-        if craw is None:
-            colls2: List[Optional[Fraction]] = [None] * len(raw)
-        else:
-            craw = craw.tolist() if result.np is not None else list(craw)
-            colls2 = []
-            for c in craw:
-                if c < 0:
-                    colls2.append(None)
-                    continue
-                # coll is over 2*scale, so 2*coll is c over scale.
-                value = cache.get(c)
-                if value is None:
-                    value = cache[c] = Fraction(c, scale)
-                colls2.append(value)
-        return dists, colls2
-    obs = result.observations(j)
-    dists = [
-        (Fraction(1) - o.dist if o.dist != 0 else Fraction(0))
-        if flip
-        else o.dist
-        for flip, o in zip(flips, obs)
-    ]
-    colls2 = [None if o.coll is None else 2 * o.coll for o in obs]
-    return dists, colls2
-
-
-def _int_round_columns(result, j: int, flips, flip_mask):
+def _round_numerators(result, j: int, flips, flip_mask):
     """Round ``j``'s common-frame dist numerators (over ``scale``) and
-    doubled-coll numerators (over ``scale``; negative = no collision)
-    as plain ints -- the :class:`IntEquationSystem` right-hand sides.
-
-    The integer-column read is the hot path (one vectorised ``where``
-    under numpy); a materialised round inside an integer-mode run is
-    recovered from the interned Fractions' numerator/denominator
-    attributes -- integer arithmetic only, exact because every
-    observation's denominator divides the shared ``scale``.
-    """
+    doubled-coll numerators (over ``scale``; ``-1`` = no collision) --
+    the window equations' right-hand sides.  Under numpy the frame
+    conversion is one vectorised ``where``."""
     scale = result.scale
     ints = result.dist_ints(j)
-    if ints is not None:
-        xp = result.np
-        if xp is not None:
-            dists = xp.where(
-                flip_mask & (ints != 0), scale - ints, ints
-            ).tolist()
-        else:
-            dists = [
-                scale - v if flip and v else v
-                for flip, v in zip(flips, ints)
-            ]
-        craw = result.coll_ints(j)
-        if craw is None:
-            colls2 = None
-        else:
-            colls2 = craw.tolist() if xp is not None else list(craw)
-        return dists, colls2
-    obs = result.observations(j)
-    dists = []
-    for flip, o in zip(flips, obs):
-        d = o.dist
-        v = d.numerator * (scale // d.denominator)
-        if flip and v:
-            v = scale - v
-        dists.append(v)
     # coll is over 2 * scale, so 2 * coll's numerator over scale is
-    # coll's numerator rescaled to the doubled grid.
-    colls2 = [
-        -1
-        if o.coll is None
-        else o.coll.numerator * ((2 * scale) // o.coll.denominator)
-        for o in obs
-    ]
-    return dists, colls2
+    # coll's own.
+    colls2 = result.coll_ints(j)
+    xp = result.np
+    if xp is not None:
+        dists = xp.where(flip_mask & (ints != 0), scale - ints, ints)
+        return dists.tolist(), colls2.tolist()
+    return [
+        scale - v if flip and v else v for flip, v in zip(flips, ints)
+    ], colls2
 
 
 def discover_distances(
@@ -180,13 +106,12 @@ def discover_distances(
     """Native twin of Algorithm 6.  Returns the rounds used (n/2 + 3);
     postcondition: every agent's gap vector under ``ld.gaps``.
 
-    ``engine`` picks the equation backend: ``None``/``"int"`` harvest
-    into the prefix-sum :class:`IntEquationSystem` whenever the
-    stretch outcome carries integer columns (falling back to the spec
-    engine on scale-less materialised runs); ``"cross"`` does the same
-    but shadows every system on a live :class:`EquationSystem` and
-    asserts lockstep agreement; ``"fraction"`` forces the
-    exact-`Fraction` spec everywhere.
+    ``engine`` alone picks the equation backend: ``None``/``"int"``
+    harvest into the prefix-sum :class:`IntEquationSystem`;
+    ``"cross"`` does the same but shadows every system on a live
+    :class:`EquationSystem` and asserts lockstep agreement (so does a
+    cross-validated scheduler); ``"fraction"`` feeds the same integer
+    columns, interned, to the exact-`Fraction` spec.
     """
     if engine not in (None, "int", "cross", "fraction"):
         raise ProtocolError(f"unknown equation engine {engine!r}")
@@ -223,82 +148,60 @@ def discover_distances(
     ]
     cache: Dict[int, Fraction] = {}
     one = Fraction(1)  # lint: allow[fraction-hot-path] -- one interned constant for the Fraction-spec engine, built once per discovery
+    spec = engine == "fraction"
     cross_check = engine == "cross" or bool(
         getattr(sched.simulator, "cross_validate", False)
     )
+    xp = sched.array_module
+    flip_mask = None if xp is None else xp.asarray([bool(f) for f in flips])
     systems: List[object] = []
-    mode: Dict[str, object] = {"ints": None, "mask": None}
 
     def stop(result, j: int) -> bool:
         """Harvest round ``j``'s equations; fire at full rank."""
-        use_ints = mode["ints"]
-        if use_ints is None:
-            # First harvested round decides the engine: the stretch
-            # outcome either carries the shared denominator (integer
-            # columns -> fraction-free engine) or it does not (scalar
-            # materialised rounds -> the Fraction spec, as before).
-            use_ints = (
-                engine != "fraction" and result.scale is not None
+        scale = result.scale
+        if not systems:
+            # Every round of the phase shares one scale: the first
+            # harvested round's.
+            systems.extend(  # lint: allow[per-agent-loop] -- one-time O(N) system construction on the first harvested round, not per-round work
+                EquationSystem(n) if spec
+                else IntEquationSystem(n, scale, cross_check=cross_check)
+                for _ in range(population.n)
             )
-            mode["ints"] = use_ints
-            if use_ints:
-                scale = result.scale
-                systems.extend(  # lint: allow[per-agent-loop] -- one-time O(N) system construction on the first harvested round, not per-round work
-                    IntEquationSystem(n, scale, cross_check=cross_check)
-                    for _ in range(population.n)
-                )
-                if result.np is not None:
-                    mask = result.np.asarray(
-                        [bool(f) for f in flips]
-                    )
-                    mode["mask"] = mask
-            else:
-                systems.extend(  # lint: allow[per-agent-loop] -- one-time O(N) system construction on the first harvested round, not per-round work
-                    EquationSystem(n) for _ in range(population.n)
-                )
         _moves_right, rho, rotation = schedule[j]
         round_windows = windows[j]
+        dists, colls2 = _round_numerators(result, j, flips, flip_mask)
         done = True
-        if use_ints:
-            dists, colls2 = _int_round_columns(
-                result, j, flips, mode["mask"]
-            )
-            for slot in range(population.n):  # lint: allow[per-agent-loop] -- per-slot rank bookkeeping over already-columnar integer rows; each iteration is O(1) equation appends
+        if spec:
+            # The Fraction spec engine, fed the same integer columns.
+            fdists = intern_fractions(dists, scale, cache)
+            fcolls2 = intern_fractions(colls2, scale, cache)
+            for slot in range(population.n):  # lint: allow[per-agent-loop] -- Fraction-spec engine: per-slot appends against the executable spec, kept scalar on purpose
                 label0 = labels[slot] - 1
                 system = systems[slot]
                 if rotation % n != 0:
-                    system.add(
-                        IntEquation(
-                            (label0 + rho) % n, rotation, dists[slot]
-                        )
-                    )
+                    system.add(Equation.window(
+                        n, (label0 + rho) % n, rotation, one, fdists[slot]
+                    ))
                 window = round_windows[slot]
-                if (
-                    window is not None
-                    and colls2 is not None
-                    and colls2[slot] >= 0
-                ):
+                if window is not None and fcolls2[slot] is not None:
                     start, hops = window
-                    system.add(IntEquation(start, hops, colls2[slot]))
+                    system.add(
+                        Equation.window(n, start, hops, one, fcolls2[slot])
+                    )
                 if done and not system.full_rank:
                     done = False
             return done
-        dists, colls2 = _round_columns(result, j, flips, cache)
-        for slot in range(population.n):  # lint: allow[per-agent-loop] -- Fraction-spec fallback engine: per-slot appends against the executable spec, kept scalar on purpose
+        for slot in range(population.n):  # lint: allow[per-agent-loop] -- per-slot rank bookkeeping over already-columnar integer rows; each iteration is O(1) equation appends
             label0 = labels[slot] - 1
             system = systems[slot]
             if rotation % n != 0:
                 system.add(
-                    Equation.window(
-                        n, (label0 + rho) % n, rotation, one, dists[slot]
-                    )
+                    IntEquation((label0 + rho) % n, rotation, dists[slot])
                 )
             window = round_windows[slot]
-            if window is not None and colls2[slot] is not None:
+            if window is not None and colls2[slot] >= 0:
                 start, hops = window
-                system.add(
-                    Equation.window(n, start, hops, one, colls2[slot])
-                )
+                system.add(IntEquation(start, hops, colls2[slot]))
             if done and not system.full_rank:
                 done = False
         return done
@@ -321,7 +224,7 @@ def discover_distances(
                 f"{system.rank} < {n}; the Convolution/Pivot schedule "
                 "should reach full rank"
             )
-        x = system.solve(interned) if mode["ints"] else system.solve()
+        x = system.solve() if spec else system.solve(interned)
         label0 = labels[slot] - 1
         gaps_column.append([x[(label0 + k) % n] for k in range(n)])
     population.set_column(KEY_LD_GAPS, gaps_column)

@@ -5,10 +5,9 @@
 policy: per ID bit, one fused candidate probe/restore span whose local
 sign row is built from the candidate state at decide time (an int8
 array under numpy, an int list otherwise).  The span's harvest reads
-the probe's ``dist() != 0`` column -- raw integers when the span ran
-fused, observations when it ran round by round -- and refines the
-candidate set.  The Lemma 13 emptiness-bisection route reuses the
-native emptiness test.
+the probe's ``dist() != 0`` column off its integer numerators and
+refines the candidate set.  The Lemma 13 emptiness-bisection route
+reuses the native emptiness test.
 """
 
 from __future__ import annotations
@@ -78,9 +77,7 @@ class LeaderElectionPolicy(PhasePolicy):
         candidate half whose rotation index was nonzero (slot 0's
         reading; every agent sees the same)."""
         ints = result.dist_ints(0)
-        if ints is None:
-            nonzeros = [o.dist != 0 for o in result.observations(0)]
-        elif result.np is not None:
+        if result.np is not None:
             nonzeros = (ints != 0).tolist()
         else:
             nonzeros = [v != 0 for v in ints]

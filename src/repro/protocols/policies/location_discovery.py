@@ -14,27 +14,30 @@ evaluate, reproducing the legacy loop exactly.  The span length is a
 *harness* hint (``state.n``-sized chunks, same access the legacy bug
 bound uses) -- correctness rests only on the predicate.
 
-Harvesting is columnar *and lazy*: on the integer path the whole
-span's dist numerators arrive as one ``(k, n)`` int64 matrix, the
-common-frame conversion is one ``where`` select, and that is where the
-work stops -- the harvest just files the matrix (plus the shared
-``scale``) in a :class:`_GapHarvest`, and ``ld.gaps`` is set to
-:class:`LazyGapColumn` views that materialise interned Fractions only
-when some consumer actually reads them (mirroring the
-:class:`~repro.core.population.LazyObsRow` pattern for observation
-rows).  The result collect reads no view either: in the common frame
-slot s's column is slot 0's rotated by ``sign * s``, which
-:func:`collect_gap_rows` checks on every integer cell before handing
-back a :class:`~repro.protocols.base.GapRows` (one base row plus
-rotations).  The rotation-2 sweep checks the same structure on its
-reordered pair sums, inverts one circulant on raw numerators
+Harvesting runs on integer numerators over the shared ``scale`` on
+every backend, and is columnar *and lazy*: the stop predicate sums
+slot 0's numerators against ``turns * scale``; under numpy the whole
+span's dist numerators arrive as one ``(k, n)`` int64 matrix (int
+lists per round otherwise), the common-frame conversion is one
+``where`` select, and that is where the work stops -- the harvest just
+files the matrix (plus ``scale``) in a :class:`_GapHarvest`, and
+``ld.gaps`` is set to :class:`LazyGapColumn` views that materialise
+interned Fractions only when some consumer actually reads them
+(mirroring the :class:`~repro.core.population.LazyObsRow` pattern for
+observation rows).  The result collect reads no view either: in the
+common frame slot s's column is slot 0's rotated by ``sign * s``,
+which :func:`collect_gap_rows` checks on every integer cell before
+handing back a :class:`~repro.protocols.base.GapRows` (one base row
+plus rotations).  The rotation-2 sweep checks the same structure on
+its reordered pair sums, inverts one circulant on raw numerators
 (:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums_ints`)
 for every slot that passes, and publishes the solution as one
 ``GapRows`` whose rows the ``ld.gaps`` cells view
 (:class:`~repro.protocols.base.GapRowView`), so the collect takes it
-as it stands.  ``engine="fraction"`` forces the
-previous eager Fraction-list harvest -- the executable spec and the
-benchmark's baseline side.
+as it stands.  ``engine="fraction"`` feeds the same integer columns
+to the eager Fraction-list harvest and
+:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums` -- the
+executable spec and the benchmark's baseline side.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from repro.protocols.policies.base import (
     LEFT,
     RIGHT,
     aligned_vector,
-    common_dists,
+    intern_fractions,
     require_column,
 )
 from repro.ring.arrayops import get_numpy
@@ -93,24 +96,6 @@ def _leader_and_flips(sched: Scheduler):
         "location discovery sweep requires a common frame",
     )
     return is_leader, flips
-
-
-def _slot0_common(result, j: int, flip0: bool, cache: Dict[int, Fraction]):
-    """Round ``j``'s common-frame ``dist()`` of slot 0."""
-    ints = result.dist_ints(j)
-    if ints is not None:
-        scale = result.scale
-        v = int(ints[0])
-        if flip0 and v:
-            v = scale - v
-        value = cache.get(v)
-        if value is None:
-            value = cache[v] = Fraction(v, scale)
-        return value
-    d = result.observations(j)[0].dist
-    if flip0 and d != 0:
-        d = Fraction(1) - d
-    return d
 
 
 def _block_column(blocks: Sequence[object], slot: int) -> List[int]:
@@ -190,11 +175,11 @@ class _GapHarvest:
     numerator blocks over one shared ``scale``.
 
     A vectorised stretch outcome contributes its whole ``(k, n)``
-    matrix (one ``where`` select, no per-cell Python); stdlib-array or
-    materialised rounds contribute per-round int lists.  Totals come
-    from column sums (vectorised when the magnitudes provably fit
-    int64, Python ints otherwise), and per-slot Fractions only exist
-    once a :class:`LazyGapColumn` is read.
+    matrix (one ``where`` select, no per-cell Python); any other
+    outcome contributes per-round int lists.  Totals come from column
+    sums (vectorised when the magnitudes provably fit int64, Python
+    ints otherwise), and per-slot Fractions only exist once a
+    :class:`LazyGapColumn` is read.
     """
 
     __slots__ = ("n", "scale", "flips", "cache", "blocks", "rounds",
@@ -213,9 +198,9 @@ class _GapHarvest:
         """File every committed round of ``result``; returns the
         block's per-slot totals as ints over ``scale`` (or None)."""
         scale = self.scale
-        matrix = result.dist_ints_all()
         xp = result.np
-        if matrix is not None and xp is not None:
+        if xp is not None:
+            matrix = result.dist_ints_all()
             if self._flip_mask is None:
                 self._flip_mask = xp.asarray(
                     [bool(f) for f in self.flips]
@@ -232,26 +217,11 @@ class _GapHarvest:
                 return common.sum(axis=0).tolist()
             return [sum(col) for col in zip(*common.tolist())]
         flips = self.flips
-        rows: List[List[int]] = []
-        for j in range(result.k):
-            ints = result.dist_ints(j)
-            if ints is not None:
-                row = [
-                    scale - v if flip and v else v
-                    for flip, v in zip(flips, ints)
-                ]
-            else:
-                # Materialised round: recover the numerators from the
-                # interned Fractions' attributes (exact -- every
-                # observation's denominator divides the shared scale).
-                row = []
-                for flip, o in zip(flips, result.observations(j)):
-                    d = o.dist
-                    v = d.numerator * (scale // d.denominator)
-                    if flip and v:
-                        v = scale - v
-                    row.append(v)
-            rows.append(row)
+        rows = [
+            [scale - v if flip and v else v
+             for flip, v in zip(flips, result.dist_ints(j))]
+            for j in range(result.k)
+        ]
         self.blocks.append(rows)
         self.rounds += result.k
         if not want_totals:
@@ -264,15 +234,9 @@ class _GapHarvest:
 
     def column(self, slot: int) -> List[Fraction]:
         """Slot's collected gaps as interned Fractions."""
-        cache = self.cache
-        scale = self.scale
-        cells: List[Fraction] = []
-        for v in self.column_ints(slot):
-            value = cache.get(v)
-            if value is None:
-                value = cache[v] = Fraction(v, scale)
-            cells.append(value)
-        return cells
+        return intern_fractions(
+            self.column_ints(slot), self.scale, self.cache
+        )
 
     def gap_rows(self) -> GapRows:
         """The rotation-1 sweep's result rows, read off the harvest.
@@ -423,67 +387,45 @@ class LazyGapColumn(SequenceABC):
 
 
 def _harvest_block(result, flips, collected, cache, want_totals: bool):
-    """Append every committed round's common-frame dists per slot.
+    """The ``engine="fraction"`` harvest: append every committed
+    round's common-frame dists per slot, as interned Fractions.
 
-    With ``want_totals`` returns ``(block_totals, scale)``: the block's
-    per-slot sums as raw numerators over ``scale`` on the
-    integer-column path, or as Fractions with ``scale=None`` on the
-    materialised-round fallback (the full-turn validation runs on
-    whichever arrived, exactly); else ``(None, scale)``.
+    With ``want_totals`` returns the block's per-slot sums as
+    numerators over ``result.scale``, else None.
     """
-    matrix = result.dist_ints_all()
+    scale = result.scale
     xp = result.np
-    if matrix is not None and xp is not None:
-        scale = result.scale
+    if xp is not None:
+        matrix = result.dist_ints_all()
         flip_row = xp.asarray([bool(f) for f in flips])
         common = xp.where(flip_row[None, :] & (matrix != 0),
                           scale - matrix, matrix)
-        totals = [] if want_totals else None
-        for slot, column in enumerate(common.T.tolist()):
-            gaps = collected[slot]
-            if want_totals:
-                total = 0
-                for v in column:
-                    value = cache.get(v)
-                    if value is None:
-                        value = cache[v] = Fraction(v, scale)
-                    gaps.append(value)
-                    total += v
-                totals.append(total)
-            else:
-                for v in column:
-                    value = cache.get(v)
-                    if value is None:
-                        value = cache[v] = Fraction(v, scale)
-                    gaps.append(value)
-        return totals, scale
-    totals = [Fraction(0)] * len(collected) if want_totals else None
-    for j in range(result.k):
-        dists = common_dists(flips, result.dists(j))
-        if want_totals:
-            for slot, d in enumerate(dists):
-                collected[slot].append(d)
-                totals[slot] += d
-        else:
-            for slot, d in enumerate(dists):
-                collected[slot].append(d)
-    return totals, None
+        columns = common.T.tolist()
+    else:
+        columns = [[] for _ in flips]
+        for j in range(result.k):
+            for column, flip, v in zip(columns, flips, result.dist_ints(j)):
+                column.append(scale - v if flip and v else v)
+    for gaps, column in zip(collected, columns):
+        gaps.extend(intern_fractions(column, scale, cache))
+    if not want_totals:
+        return None
+    return [sum(column) for column in columns]
 
 
-def _sweep_gaps(sched: Scheduler, vector, flips, target: Fraction,
+def _sweep_gaps(sched: Scheduler, vector, flips, turns: int,
                 label: str, want_totals: bool = True,
                 engine: Optional[str] = None):
     """Run one sweep speculatively until slot 0's collected gaps sum to
-    ``target``; returns ``(collected, rounds, totals, scale)`` where
-    ``totals`` holds every slot's running sum (numerators over
-    ``scale``, or Fractions with ``scale=None``).
+    ``turns`` full turns; returns ``(collected, rounds, totals,
+    scale)`` where ``totals`` holds every slot's running sum as
+    numerators over ``scale``.
 
-    The first executed round decides the harvest representation: a
-    stretch outcome carrying the shared denominator switches the whole
-    sweep to integer mode (``collected`` then holds
-    :class:`LazyGapColumn` views over one :class:`_GapHarvest`), else
-    -- or under ``engine="fraction"`` -- the sweep runs the eager
-    Fraction-list harvest exactly as before.
+    The stop predicate sums slot 0's integer dist numerators over the
+    first executed round's ``scale`` and fires on ``turns * scale``.
+    ``collected`` holds :class:`LazyGapColumn` views over one
+    :class:`_GapHarvest`, or, under ``engine="fraction"``, the eager
+    Fraction lists of the spec harvest.
     """
     if engine not in (None, "int", "fraction"):
         raise ProtocolError(f"unknown harvest engine {engine!r}")
@@ -496,44 +438,19 @@ def _sweep_gaps(sched: Scheduler, vector, flips, target: Fraction,
     hint = min(sched.state.n, _MAX_CHUNK)
     flip0 = bool(flips[0])
     cache: Dict[int, Fraction] = {}
-    harvest: List[Optional[_GapHarvest]] = [None]
-    decided = [False]
-    total_frac = [Fraction(0)]  # lint: allow[fraction-hot-path] -- one accumulator cell for the Fraction-spec fallback engine, built once per sweep
-    total_int = [0]
-    target_int = [0]
+    harvest: Optional[_GapHarvest] = None
+    total = [0]
     fired = [False]
     executed = 0
     totals = None
-    scale = None
 
     def stop(result, j: int) -> bool:
-        if not decided[0]:
-            decided[0] = True
-            if engine != "fraction" and result.scale is not None:
-                h = _GapHarvest(n, result.scale, flips, cache)
-                harvest[0] = h
-                # Exact: the targets are whole/half turns on the
-                # shared-denominator grid.
-                target_int[0] = (
-                    target.numerator * h.scale
-                ) // target.denominator
-        h = harvest[0]
-        if h is not None:
-            ints = result.dist_ints(j)
-            if ints is not None:
-                v = int(ints[0])
-            else:
-                d = result.observations(j)[0].dist
-                v = d.numerator * (h.scale // d.denominator)
-            if flip0 and v:
-                v = h.scale - v
-            total_int[0] += v
-            if total_int[0] == target_int[0]:
-                fired[0] = True
-                return True
-            return False
-        total_frac[0] += _slot0_common(result, j, flip0, cache)
-        if total_frac[0] == target:
+        scale = result.scale
+        v = int(result.dist_ints(j)[0])
+        if flip0 and v:
+            v = scale - v
+        total[0] += v
+        if total[0] == turns * scale:
             fired[0] = True
             return True
         return False
@@ -543,22 +460,24 @@ def _sweep_gaps(sched: Scheduler, vector, flips, target: Fraction,
         result = sched.run_stretch(
             SpeculativeStretch(vector, chunk, stop=stop)
         )
-        if harvest[0] is not None:
-            block_totals = harvest[0].add_result(result, want_totals)
-            scale = harvest[0].scale
-        else:
-            block_totals, scale = _harvest_block(
+        scale = result.scale
+        if engine == "fraction":
+            block_totals = _harvest_block(
                 result, flips, collected, cache, want_totals
             )
+        else:
+            if harvest is None:
+                harvest = _GapHarvest(n, scale, flips, cache)
+            block_totals = harvest.add_result(result, want_totals)
         if totals is None:
             totals = block_totals
         elif block_totals is not None:
             totals = [a + b for a, b in zip(totals, block_totals)]
         executed += result.k
         if fired[0]:
-            if harvest[0] is not None:
+            if harvest is not None:
                 collected = [
-                    LazyGapColumn(harvest[0], slot) for slot in range(n)
+                    LazyGapColumn(harvest, slot) for slot in range(n)
                 ]
             return collected, executed, totals, scale
         if executed > bound:
@@ -577,11 +496,10 @@ def sweep_rotation_one(
         flips, [RIGHT if lead else IDLE for lead in is_leader]
     )
     collected, rounds, totals, scale = _sweep_gaps(
-        sched, vector, flips, Fraction(1), "rotation-1", engine=engine  # lint: allow[fraction-hot-path] -- the one-full-turn target constant, built once per sweep at the call boundary
+        sched, vector, flips, 1, "rotation-1", engine=engine
     )
-    full_turn = Fraction(1) if scale is None else scale  # lint: allow[fraction-hot-path] -- closing-check constant, compared once after the sweep fires
     for total in totals:
-        if total != full_turn:
+        if total != scale:
             raise ProtocolError("agent's sweep did not cover a full turn")
     population.set_column(KEY_LD_GAPS, collected)
     return rounds
@@ -602,7 +520,7 @@ def sweep_rotation_two(
     )
     # n pair sums cover every gap exactly twice (odd n): total 2.
     collected, rounds, _totals, _scale = _sweep_gaps(
-        sched, vector, flips, Fraction(2), "rotation-2",  # lint: allow[fraction-hot-path] -- the two-full-turns target constant, built once per sweep at the call boundary
+        sched, vector, flips, 2, "rotation-2",
         want_totals=False, engine=engine,
     )
 
@@ -620,7 +538,7 @@ def sweep_rotation_two(
             # Round t was observed from slot (own + 2t): reorder the
             # pair sums into consecutive-j form before inverting the
             # circulant.
-            ordered: List[Fraction] = [Fraction(0)] * count  # lint: allow[fraction-hot-path] -- Fraction-spec fallback branch (scalar materialised rounds); the integer engine takes the branch above
+            ordered: List[Fraction] = [Fraction(0)] * count  # lint: allow[fraction-hot-path] -- the engine="fraction" spec harvest; the integer engine takes the branch above
             for t, value in enumerate(pair_sums):
                 ordered[(2 * t) % count] = value
             gaps_column.append(solve_cyclic_pair_sums(ordered))

@@ -5,18 +5,22 @@ Algorithm 3's whole round plan is static -- 4 rounds per ID bit plus 4
 uniform rounds -- so :class:`NeighborDiscoveryPolicy` plans every probe
 at construction time as a local sign row derived from the ID column,
 each with its REVERSEDROUND as one probe/restore span.  The harvests
-keep each probe's ``coll()`` column: raw integers under numpy (over
-``2 * scale``, ``-1`` = no collision), interned Fractions otherwise.
-:meth:`finalize` posts the gap and relative-chirality columns -- under
-numpy from masked column minima over the stacked probe matrix plus one
-interning pass for the gap Fractions, otherwise from per-slot minima
-exactly as the legacy driver takes them.
+keep each probe's ``coll()`` column as integer numerators over
+``2 * scale`` (``-1`` = no collision): an int64 array under numpy, an
+int list otherwise.  :meth:`finalize` takes each slot's nearest
+collision on either side as an integer minimum -- masked column minima
+over the stacked probe matrix under numpy, per-slot minima exactly as
+the legacy driver takes them otherwise -- and posts the gap and
+relative-chirality columns.  A gap is twice the nearest
+first-collision arc, so its numerator over ``scale`` is that minimum
+``coll()`` numerator; the gaps are the only Fractions the phase mints
+(:func:`~repro.protocols.policies.base.intern_fractions`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 from repro.core.agent import id_bits
 from repro.core.scheduler import Scheduler
@@ -27,7 +31,7 @@ from repro.protocols.neighbor_discovery import (
     KEY_SAME_LEFT,
     KEY_SAME_RIGHT,
 )
-from repro.protocols.policies.base import PhasePolicy
+from repro.protocols.policies.base import PhasePolicy, intern_fractions
 from repro.ring.stretch import Row
 from repro.types import Model
 
@@ -44,10 +48,11 @@ class NeighborDiscoveryPolicy(PhasePolicy):
         super().__init__(sched)
         n = self.n
         ids = self.population.ids
-        #: Per probe: (sign row, coll column).
+        #: Per probe: (sign row, coll numerator column).
         self._probes: List[tuple] = []
         self._uniform_r = None
         self._uniform_l = None
+        self._scale = 0
         for bit in range(id_bits(self.population.id_bound)):
             signs = [1 if (agent_id >> bit) & 1 else -1 for agent_id in ids]
             self._plan_probe(self.sign_row(signs))
@@ -60,23 +65,8 @@ class NeighborDiscoveryPolicy(PhasePolicy):
         column with the row that produced it."""
 
         def harvest(result) -> None:
-            xp = self.xp
-            if xp is None:
-                coll = result.colls(0)
-            else:
-                coll = result.coll_ints(0)
-                if coll is None or result.np is None:
-                    # Span replayed round by round (cross-validation):
-                    # rebuild the integer column exactly (colls are on
-                    # the 1/(2*scale) grid).
-                    twice = 2 * self.sched.simulator.backend.scale
-                    coll = xp.asarray(
-                        [
-                            -1 if c is None else int(c * twice)
-                            for c in result.colls(0)
-                        ],
-                        dtype=xp.int64,
-                    )
+            coll = result.coll_ints(0)
+            self._scale = result.scale
             self._probes.append((signs, coll))
             if uniform == "r":
                 self._uniform_r = coll
@@ -89,42 +79,34 @@ class NeighborDiscoveryPolicy(PhasePolicy):
         if self.xp is not None:
             self._finalize_vectorised()
             return
-        population = self.population
-        gap_right: List[Fraction] = []
-        gap_left: List[Fraction] = []
+        gap_right: List[int] = []
+        gap_left: List[int] = []
         same_right: List[bool] = []
         same_left: List[bool] = []
         probes = self._probes
         for i in range(self.n):  # lint: allow[per-agent-loop] -- list-row finalize over ragged per-slot minima; the numpy path takes _finalize_vectorised above
             right_obs = [
                 coll[i] for signs, coll in probes
-                if signs[i] > 0 and coll[i] is not None
+                if signs[i] > 0 and coll[i] >= 0
             ]
             left_obs = [
                 coll[i] for signs, coll in probes
-                if signs[i] < 0 and coll[i] is not None
+                if signs[i] < 0 and coll[i] >= 0
             ]
             if not right_obs or not left_obs:
-                raise ProtocolError(
-                    f"agent {population.ids[i]} saw no collision on one "
-                    "side; impossible for n > 4 with unique IDs"
-                )
-            gr = 2 * min(right_obs)
-            gl = 2 * min(left_obs)
+                self._no_collision(i)
+            gr = min(right_obs)
+            gl = min(left_obs)
             gap_right.append(gr)
             gap_left.append(gl)
             # Chirality: in the all-RIGHT round my right neighbor
             # approached me iff it is flipped relative to me.
-            same_right.append(self._uniform_r[i] != gr / 2)
-            same_left.append(self._uniform_l[i] != gl / 2)
-        population.set_column(KEY_GAP_RIGHT, gap_right)
-        population.set_column(KEY_GAP_LEFT, gap_left)
-        population.set_column(KEY_SAME_RIGHT, same_right)
-        population.set_column(KEY_SAME_LEFT, same_left)
+            same_right.append(self._uniform_r[i] != gr)
+            same_left.append(self._uniform_l[i] != gl)
+        self._publish(gap_right, gap_left, same_right, same_left)
 
     def _finalize_vectorised(self) -> None:
         xp = self.xp
-        population = self.population
         colls = xp.stack([coll for _signs, coll in self._probes])
         moved_right = xp.stack([signs > 0 for signs, _coll in self._probes])
         seen = colls >= 0
@@ -137,28 +119,35 @@ class NeighborDiscoveryPolicy(PhasePolicy):
         )
         missing = (right_min >= none_seen) | (left_min >= none_seen)
         if bool(missing.any()):
-            i = int(xp.argmax(missing))
-            raise ProtocolError(
-                f"agent {population.ids[i]} saw no collision on one "
-                "side; impossible for n > 4 with unique IDs"
-            )
-        # coll numerators are over 2 * scale, so the gap (twice the
-        # nearest first-collision arc) is min/scale -- one interning
-        # pass builds the same Fraction values the legacy driver posts.
-        backend = self.sched.simulator.backend
-        frac1 = backend._frac1
+            self._no_collision(int(xp.argmax(missing)))
+        self._publish(
+            right_min.tolist(),
+            left_min.tolist(),
+            (self._uniform_r != right_min).tolist(),
+            (self._uniform_l != left_min).tolist(),
+        )
+
+    def _no_collision(self, slot: int) -> NoReturn:
+        raise ProtocolError(
+            f"agent {self.population.ids[slot]} saw no collision on one "
+            "side; impossible for n > 4 with unique IDs"
+        )
+
+    def _publish(self, gap_right: List[int], gap_left: List[int],
+                 same_right: List[bool], same_left: List[bool]) -> None:
+        """Post the four result columns; the gaps arrive as numerators
+        over the harvests' scale."""
+        population = self.population
+        cache: Dict[int, Fraction] = {}
+        scale = self._scale
         population.set_column(
-            KEY_GAP_RIGHT, [frac1(v) for v in right_min.tolist()]
+            KEY_GAP_RIGHT, intern_fractions(gap_right, scale, cache)
         )
         population.set_column(
-            KEY_GAP_LEFT, [frac1(v) for v in left_min.tolist()]
+            KEY_GAP_LEFT, intern_fractions(gap_left, scale, cache)
         )
-        population.set_column(
-            KEY_SAME_RIGHT, (self._uniform_r != right_min).tolist()
-        )
-        population.set_column(
-            KEY_SAME_LEFT, (self._uniform_l != left_min).tolist()
-        )
+        population.set_column(KEY_SAME_RIGHT, same_right)
+        population.set_column(KEY_SAME_LEFT, same_left)
 
 
 def discover_neighbors(sched: Scheduler) -> None:

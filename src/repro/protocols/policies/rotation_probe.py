@@ -8,9 +8,11 @@ memory columns as the legacy per-agent driver.
 
 Fused execution: the probe/restore pair is planned as one
 :class:`~repro.ring.stretch.Stretch`, so on a stretch-capable backend
-the restore round never materialises observations, and the zero test /
-Lemma 2 classification read the probe's ``dist`` column as raw integer
-numerators (one vectorised compare) instead of per-agent Fractions.
+the restore round never materialises observations.  On every backend
+the zero test / Lemma 2 classification read the probes' ``dist``
+columns as integer numerators over the shared denominator (one
+vectorised compare under numpy, one list pass otherwise) instead of
+per-agent Fractions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ from repro.protocols.rotation_probe import (
 )
 from repro.ring.stretch import Stretch
 from repro.types import LocalDirection
+
+#: Verdict per classification code: zero rotation, half turn, below
+#: and above half.
+_CLASSES = (
+    RotationClass.ZERO,
+    RotationClass.HALF,
+    RotationClass.BELOW_HALF,
+    RotationClass.ABOVE_HALF,
+)
 
 
 class RotationProbePolicy(PhasePolicy):
@@ -56,8 +67,7 @@ class RotationProbePolicy(PhasePolicy):
         vector = list(vector)
         self.zero: Optional[bool] = None
         self.verdict: Optional[RotationClass] = None
-        self._d1 = None  # first probe's dist column (ints or Fractions)
-        self._d1_ints = False
+        self._d1 = None  # first probe's dist numerators
         if classify:
             self.push_stretch(Stretch(vector, 1), self._harvest_first)
             self.push_stretch(
@@ -73,34 +83,21 @@ class RotationProbePolicy(PhasePolicy):
 
     def _harvest_zero(self, result) -> None:
         dist = result.dist_ints(0)
-        if dist is not None and result.np is not None:
+        if result.np is not None:
             zeros = (dist == 0).tolist()
         else:
-            zeros = [o.dist == 0 for o in result.observations(0)]
+            zeros = [v == 0 for v in dist]
         self.population.set_column(KEY_PROBE_ZERO, zeros)
         self.zero = zeros[0]
 
     def _harvest_first(self, result) -> None:
-        dist = result.dist_ints(0)
-        if dist is not None and result.np is not None:
-            self._d1 = dist
-            self._d1_ints = True
-            self._scale = result.scale
-        else:
-            self._d1 = result.dists(0)
-            self._d1_ints = False
+        self._d1 = result.dist_ints(0)
 
     def _harvest_second(self, result) -> None:
-        dist2 = result.dist_ints(0)
-        if (
-            self._d1_ints
-            and dist2 is not None
-            and result.np is not None
-            and result.scale == self._scale
-        ):
-            np = result.np
-            d1, scale = self._d1, result.scale
-            total = d1 + dist2
+        d1, d2, scale = self._d1, result.dist_ints(0), result.scale
+        np = result.np
+        if np is not None:
+            total = d1 + d2
             codes = np.where(
                 d1 == 0,
                 0,
@@ -110,35 +107,15 @@ class RotationProbePolicy(PhasePolicy):
                     np.where(total < scale, 2, 3),
                 ),
             ).tolist()
-            classes = (
-                RotationClass.ZERO,
-                RotationClass.HALF,
-                RotationClass.BELOW_HALF,
-                RotationClass.ABOVE_HALF,
-            )
-            verdicts = [classes[c] for c in codes]
         else:
-            if self._d1_ints:
-                # Representation changed between the two probes (only
-                # possible after an external state rewrite): fall back
-                # to exact Fractions.
-                from fractions import Fraction
-
-                d1s = [Fraction(int(v), self._scale) for v in self._d1]  # lint: allow[fraction-hot-path] -- exact fallback when the representation changed between probes (external state rewrite); never taken on the steady path
-            else:
-                d1s = self._d1
-            d2s = [o.dist for o in result.observations(0)]
-            verdicts = []
-            for d1, d2 in zip(d1s, d2s):
-                total = d1 + d2
-                if d1 == 0:
-                    verdicts.append(RotationClass.ZERO)
-                elif total == 1:
-                    verdicts.append(RotationClass.HALF)
-                elif total < 1:
-                    verdicts.append(RotationClass.BELOW_HALF)
-                else:
-                    verdicts.append(RotationClass.ABOVE_HALF)
+            codes = [
+                0 if a == 0
+                else 1 if a + b == scale
+                else 2 if a + b < scale
+                else 3
+                for a, b in zip(d1, d2)
+            ]
+        verdicts = [_CLASSES[c] for c in codes]
         self.population.set_column(KEY_PROBE_CLASS, verdicts)
         self.verdict = verdicts[0]
         self._d1 = None

@@ -59,7 +59,6 @@ resynchronise automatically.
 from __future__ import annotations
 
 import copy
-import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -286,7 +285,7 @@ class LatticeBackend(KinematicsBackend):
         state = self.state
         pos = state.positions
         n = len(pos)
-        scale = math.lcm(*(p.denominator for p in pos))
+        scale = state.scale
         num = [p.numerator * (scale // p.denominator) for p in pos]
         gap = [(num[(i + 1) % n] - num[i]) % scale for i in range(n)]
         prefix = [0] * (n + 1)
@@ -716,8 +715,7 @@ def _span_dist(span: _FusedSpan):
 def _span_coll(span: _FusedSpan):
     """A span's closed-form ``coll()`` numerators over ``2 * scale``
     (``-1`` = no collision): a ``(k, n)`` int64 matrix on the
-    vectorised path, else one ``array('q')`` row per round, None for a
-    round without closed-form collisions."""
+    vectorised path, else one ``array('q')`` row per round."""
     n, scale, np = span.n, span.scale, span.np
     rotations = span.rotations
     k = len(rotations)
@@ -746,14 +744,14 @@ def _span_coll(span: _FusedSpan):
     from array import array
 
     prefix = span.prefix
-    rows: List[Optional[array]] = []
+    rows: List[array] = []
     for row, count in span.rows:
         if j == k:
             break
         spec = row.coll_offsets(None)
         for _ in range(min(count, k - j)):
             if spec is None:
-                rows.append(None)
+                rows.append(array("q", [-1]) * n)
             else:
                 crow = array("q", bytes(8 * n))
                 s = off
@@ -796,8 +794,7 @@ class ArrayStretchResult:
 
     ``np`` is the numpy module when the columns are int64 ndarrays
     (vectorised consumers branch on it), else None (stdlib ``array``
-    fallback rows; per-round ``coll`` rows may be None when the round
-    provably had no closed-form collisions).
+    fallback rows).
     """
 
     __slots__ = (
@@ -829,8 +826,7 @@ class ArrayStretchResult:
 
     def coll_ints(self, j: int):
         """Round ``j``'s coll numerators over ``2 * scale`` (-1 = None),
-        or None when the model reports no collisions (or, on the
-        fallback representation, when the round had none)."""
+        or None when the model reports no collisions."""
         if not self._span.need_coll:
             return None
         coll = self._coll

@@ -250,7 +250,7 @@ class RingSimulator:
             if result is not None:
                 self.rounds_executed += result.k
                 return result
-        outcomes = MaterialisedStretch()
+        outcomes = MaterialisedStretch(self.state.scale)
         j = 0
         for row, count in stretch.pairs:
             directions = row_directions(row)

@@ -16,6 +16,11 @@ The caches are invalidated whenever positions are written, and *rotated*
 by Lemma 1 a round only rotates which agent sits before which gap, so
 the gap sequence itself merely shifts.
 
+The shared denominator :attr:`scale` (the lcm of the position
+denominators) is cached the same way.  Only a position write drops
+it: a committed round rotates the positions (Lemma 1), which leaves
+their lcm unchanged.
+
 A monotonically increasing :attr:`version` counter is bumped on every
 position write.  Kinematics backends (see :mod:`repro.ring.backends`)
 snapshot the version after each round they commit and re-derive their
@@ -29,6 +34,7 @@ invalidation and is unsupported.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,6 +73,7 @@ class RingState:
         "version",
         "_gaps",
         "_prefix",
+        "_scale",
     )
 
     def __init__(
@@ -110,6 +117,7 @@ class RingState:
         self._lazy = None
         self._gaps: Optional[List[Fraction]] = None
         self._prefix: Optional[List[Fraction]] = None
+        self._scale: Optional[int] = None
 
     def _pos(self) -> List[Fraction]:
         """The live position list, materialising a lazy commit.
@@ -144,7 +152,24 @@ class RingState:
         self._lazy = None
         self._gaps = None
         self._prefix = None
+        self._scale = None
         self.version += 1
+
+    @property
+    def scale(self) -> int:
+        """The shared denominator ``D``: the lcm of the position
+        denominators.
+
+        Every position lies on ``Z/D`` for the whole run (rounds only
+        rotate them), so every ``dist()`` is a numerator over ``D`` and
+        every ``coll()`` a numerator over ``2D``, on every backend.
+        """
+        scale = self._scale
+        if scale is None:
+            scale = self._scale = math.lcm(
+                *(p.denominator for p in self._pos())
+            )
+        return scale
 
     @property
     def n(self) -> int:

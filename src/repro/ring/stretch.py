@@ -16,24 +16,27 @@ something actually reads them (restore rounds typically never are).
 Every stretch outcome exposes the same duck-typed surface:
 
 * ``k``, ``n``, ``rotations`` (per-round rotation indices),
-  ``collision_events``, ``scale`` (shared denominator, or None),
-  ``np`` (the numpy module when raw integer columns are available
-  through it, else None);
+  ``collision_events``, ``scale`` (the ring's shared denominator
+  ``D``), ``np`` (the numpy module when the integer columns are
+  int64 ndarrays, else None);
 * ``observations(j)`` / ``outcome(j)`` -- materialised round views;
 * ``dists(j)`` / ``colls(j)`` -- per-round observation columns as
   interned Fractions;
-* ``dist_ints(j)`` / ``coll_ints(j)`` -- raw integer numerator columns
+* ``dist_ints(j)`` / ``coll_ints(j)`` -- integer numerator columns
   (over ``scale`` and ``2 * scale`` respectively; ``-1`` encodes a
-  ``coll() = None``), or None when the span was executed round by
-  round;
+  ``coll() = None``).  ``dist_ints`` never returns None, and a fused
+  span's ``coll_ints`` only when the model reports no collisions;
 * ``dist_ints_all()`` -- the whole span's dist numerators as one
   ``(k, n)`` matrix when the vectorised representation has one, else
   None (columnar harvests branch on it).
 
-:class:`MaterialisedStretch` is the fallback implementation wrapping
-plain :class:`~repro.types.RoundOutcome` values, used whenever the
-backend executes the span one round at a time (Fraction and lattice
-backends, cross-validated runs).
+Positions stay on ``Z/D`` for the whole run (Lemma 1), so the integer
+columns exist on every backend.  :class:`MaterialisedStretch` is the
+implementation wrapping plain :class:`~repro.types.RoundOutcome`
+values, used whenever a span runs one round at a time (the
+``fraction`` backend, a fault plan, cross-validation, or a span the
+array backend declines); it derives its integer columns from the
+rounds' Fractions.
 
 Speculative spans
 -----------------
@@ -71,6 +74,7 @@ from typing import (
     Any,
     Callable,
     ClassVar,
+    Dict,
     List,
     Optional,
     Sequence,
@@ -78,6 +82,7 @@ from typing import (
     cast,
 )
 
+from repro.exceptions import SimulationError
 from repro.types import LocalDirection, Observation, RoundOutcome
 
 #: Per-round stop predicate of a speculative span: ``stop(result, j)``
@@ -197,24 +202,35 @@ class SpeculativeStretch(Stretch):
 
 
 class MaterialisedStretch:
-    """Stretch outcome assembled from per-round outcomes (fallback).
+    """Stretch outcome assembled from per-round outcomes (replay).
 
     Supports incremental construction (:meth:`append`) so the scalar
     speculative path can evaluate the stop predicate after each
     executed round against the rounds materialised so far.
+
+    ``scale`` is the ring's shared denominator ``D`` when the span
+    started (:attr:`~repro.ring.state.RingState.scale`).  Each round's
+    integer columns are built on first read from its Fractions, as
+    ``numerator * (grid // denominator)`` over ``D`` for ``dist()`` and
+    ``2D`` for ``coll()`` (``-1`` for no collision) -- the contract of
+    the array backend's stdlib rows.  A value off that grid raises
+    :class:`~repro.exceptions.SimulationError`; it is never rounded.
     """
 
-    __slots__ = ("_outcomes", "n", "rotations", "collision_events")
+    __slots__ = ("_outcomes", "n", "scale", "rotations",
+                 "collision_events", "_ints")
 
-    #: No raw integer columns on this implementation.
+    #: The integer columns are int lists, never ndarrays.
     np: ClassVar[None] = None
-    scale: ClassVar[Optional[int]] = None
 
-    def __init__(self, outcomes: Sequence[RoundOutcome] = ()) -> None:
+    def __init__(self, scale: int,
+                 outcomes: Sequence[RoundOutcome] = ()) -> None:
         self._outcomes: List[RoundOutcome] = []
         self.n = 0
+        self.scale = scale
         self.rotations: List[int] = []
         self.collision_events = 0
+        self._ints: Dict[Tuple[int, bool], List[int]] = {}
         for outcome in outcomes:
             self.append(outcome)
 
@@ -242,11 +258,36 @@ class MaterialisedStretch:
     def colls(self, j: int) -> List[Any]:
         return [o.coll for o in self._outcomes[j].observations]
 
-    def dist_ints(self, j: int) -> Optional[Sequence[int]]:
-        return None
+    def _numerators(self, j: int, coll: bool) -> List[int]:
+        """Round ``j``'s dist (or coll) column as numerators over
+        ``scale`` (or ``2 * scale``), built once."""
+        key = (j, coll)
+        column = self._ints.get(key)
+        if column is None:
+            grid = 2 * self.scale if coll else self.scale
+            column = []
+            for o in self._outcomes[j].observations:
+                value = o.coll if coll else o.dist
+                if value is None:
+                    column.append(-1)
+                    continue
+                den = value.denominator
+                if grid % den:
+                    raise SimulationError(
+                        f"observation {value} is off the 1/{grid} grid"
+                    )
+                column.append(value.numerator * (grid // den))
+            self._ints[key] = column
+        return column
 
-    def coll_ints(self, j: int) -> Optional[Sequence[int]]:
-        return None
+    def dist_ints(self, j: int) -> List[int]:
+        """Round ``j``'s dist numerators over ``scale`` (agent frame)."""
+        return self._numerators(j, False)
 
-    def dist_ints_all(self) -> Optional[Any]:
+    def coll_ints(self, j: int) -> List[int]:
+        """Round ``j``'s coll numerators over ``2 * scale`` (-1 = None)."""
+        return self._numerators(j, True)
+
+    def dist_ints_all(self) -> None:
+        """No ``(k, n)`` matrix on this representation."""
         return None

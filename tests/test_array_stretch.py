@@ -87,6 +87,36 @@ class TestRegistryEquivalenceOnArray:
             checked, r2
         )
 
+    def test_cross_validated_session_checks_int_engine(self, monkeypatch):
+        """Cross-validation replays every span round by round; the
+        replays carry integer columns, so Algorithm 6 shadows one
+        IntEquationSystem per agent on the spec, and the run matches
+        the plain session bit for bit."""
+        from repro.analysis.int_equations import IntEquationSystem
+
+        n = 10
+        plain = RingSession(
+            n=n, model="perceptive", backend="array", seed=3,
+        )
+        r1 = plain.run("location-discovery")
+        seen = []
+        original = IntEquationSystem.__init__
+
+        def spy(self, n, den, cross_check=False):
+            seen.append(cross_check)
+            original(self, n, den, cross_check=cross_check)
+
+        monkeypatch.setattr(IntEquationSystem, "__init__", spy)
+        checked = RingSession(
+            n=n, model="perceptive", backend="array", seed=3,
+            cross_validate=True,
+        )
+        r2 = checked.run("location-discovery")
+        assert seen == [True] * n
+        assert session_fingerprint(plain, r1) == session_fingerprint(
+            checked, r2
+        )
+
 
 class TestStretchPlans:
     def test_stretch_shapes(self):

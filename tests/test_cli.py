@@ -537,6 +537,27 @@ class TestCliCache:
                   "--sample", "0"])
 
 
+class TestCliOutOfMemory:
+    """Running out of memory is neither a detected fault (exit 1) nor
+    input that cannot run (exit 2): one line, exit 3, no traceback."""
+
+    def test_memory_error_is_one_line_and_exit_3(self, capsys, monkeypatch):
+        from repro.api import RingSession
+
+        def exhausted(self, protocol):
+            raise MemoryError
+
+        monkeypatch.setattr(RingSession, "run", exhausted)
+        code = main(["run", "location-discovery", "--n", "8",
+                     "--model", "lazy", "--json", "--no-cache"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: error: out of memory"
+        ]
+
+
 class TestCliClosedStdout:
     """A reader that closes the pipe early (``run --json | head``) is
     not a fault: the run ends silently with exit 141 (128 + SIGPIPE)."""

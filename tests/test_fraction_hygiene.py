@@ -1,5 +1,6 @@
 """Fraction hygiene across the whole registry: every protocol, run
-natively on the array backend, performs zero Fraction *arithmetic*.
+natively on the array backend, performs zero Fraction *arithmetic*,
+with numpy and without it (the ``numpy_axis`` fixture).
 
 This generalises the Distances acceptance gate
 (``test_int_mode_runs_zero_fraction_arithmetic``) to a sweep over
@@ -92,9 +93,8 @@ def _count_arithmetic(session, protocol, monkeypatch):
 
 @pytest.mark.parametrize("protocol,model,common_sense,n", list(_cases()))
 def test_native_array_run_is_fraction_free(
-    protocol, model, common_sense, n, monkeypatch
+    protocol, model, common_sense, n, monkeypatch, numpy_axis
 ):
-    pytest.importorskip("numpy")
     session = RingSession(
         n, model=model, backend="array", seed=3,
         common_sense=common_sense, driver="native",
@@ -107,11 +107,10 @@ def test_native_array_run_is_fraction_free(
     )
 
 
-def test_perceptive_even_boundary_is_bounded(monkeypatch):
+def test_perceptive_even_boundary_is_bounded(monkeypatch, numpy_axis):
     """The one skipped combination: the ring-distance match phase does
     Fraction prefix sums, but only O(n log n) of them -- it must not
     degenerate into per-round Fraction kinematics."""
-    pytest.importorskip("numpy")
     n = 8
     session = RingSession(
         n, model="perceptive", backend="array", seed=3, driver="native",

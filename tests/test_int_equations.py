@@ -217,11 +217,24 @@ class TestCyclicPairSumsInts:
             assert cell_a is cell_b
 
 
-def _distances_sched(n, seed, **kwargs):
+def _distances_sched(n, seed, backend="array", **kwargs):
     state = random_configuration(n, seed=seed, common_sense=False)
-    sched = Scheduler(state, Model.PERCEPTIVE, backend="array", **kwargs)
+    sched = Scheduler(state, Model.PERCEPTIVE, backend=backend, **kwargs)
     _speculative_preset(sched, leader=False, labels=True)
     return sched
+
+
+def _spy_cross_checks(monkeypatch):
+    """The ``cross_check`` flag of every IntEquationSystem built."""
+    seen = []
+    original = IntEquationSystem.__init__
+
+    def spy(self, n, den, cross_check=False):
+        seen.append(cross_check)
+        original(self, n, den, cross_check=cross_check)
+
+    monkeypatch.setattr(IntEquationSystem, "__init__", spy)
+    return seen
 
 
 class TestNativeDistancesEngines:
@@ -274,19 +287,35 @@ class TestNativeDistancesEngines:
             discover_distances(sched, engine="decimal")
 
     def test_cross_engine_runs_lockstep_shadow(self, monkeypatch):
-        seen = []
-        original = IntEquationSystem.__init__
-
-        def spy(self, n, den, cross_check=False):
-            seen.append(cross_check)
-            original(self, n, den, cross_check=cross_check)
-
-        monkeypatch.setattr(IntEquationSystem, "__init__", spy)
+        seen = _spy_cross_checks(monkeypatch)
         sched = _distances_sched(8, seed=1)
         discover_distances(sched, engine="cross")
         assert seen == [True] * 8
         gaps = sched.population.get_column(KEY_LD_GAPS)
         assert sum(gaps[0], F(0)) == 1
+
+    def test_cross_engine_on_fraction_backend_checks_int_engine(
+        self, monkeypatch
+    ):
+        """Replayed spans carry integer columns, so ``engine="cross"``
+        on the ``fraction`` backend shadows one IntEquationSystem per
+        agent on the spec, and agrees with the plain run."""
+        n = 10
+        results = {}
+        for engine in (None, "cross"):
+            seen = _spy_cross_checks(monkeypatch)
+            sched = _distances_sched(n, seed=3, backend="fraction")
+            rounds = discover_distances(sched, engine=engine)
+            results[engine] = (
+                rounds,
+                sched.state.snapshot(),
+                [
+                    list(col)
+                    for col in sched.population.get_column(KEY_LD_GAPS)
+                ],
+            )
+            assert seen == [engine == "cross"] * n
+        assert results["cross"] == results[None]
 
     def test_int_mode_runs_zero_fraction_arithmetic(self, monkeypatch):
         """The acceptance gate: a native array-backend Distances run in

@@ -6,7 +6,8 @@ first read, from what it captured at execution.  Pinned here:
 
 * columns read lazily -- in random order, after ``truncated()``, after
   a forced resync -- equal the columns read at once and the
-  ``fraction`` backend's observations, on both numpy axes;
+  ``fraction`` backend's observations and integer columns, on both
+  numpy axes;
 * a span nobody reads builds no column and derives no collision hops,
   and a ``dist()`` read derives no hops either;
 * the contention channel's sessions build no column at all and still
@@ -100,6 +101,13 @@ class TestColumnsOnFirstRead:
         eager_coll = [_ints(eager.coll_ints(j)) for j in range(k)]
         spec_obs = [spec.observations(j) for j in range(k)]
         assert [eager.observations(j) for j in range(k)] == spec_obs
+        # The span replayed on fraction carries the same integer
+        # columns (-1 for each missing coll()).
+        assert spec.scale == eager.scale
+        assert [spec.dist_ints(j) for j in range(k)] == eager_dist
+        assert [spec.coll_ints(j) for j in range(k)] == [
+            [-1] * n if c is None else c for c in eager_coll
+        ]
 
         kept = k
         if rng.random() < 0.5:

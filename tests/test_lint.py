@@ -2,6 +2,7 @@
 machinery behaves, the JSON document round-trips as a baseline, and --
 the point of the exercise -- the real tree lints clean (tier-1)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +22,8 @@ from repro.lint import (
     rule_catalogue,
 )
 from repro.lint import cli
+from repro.lint.astutil import scoped_functions
+from repro.lint.config import FRACTION_BOUNDARY_FUNCTIONS
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -329,3 +332,15 @@ class TestRealTree:
         assert result.suppressed, "expected documented exemptions"
         for finding in result.suppressed:
             assert finding.reason and len(finding.reason) > 10
+
+    @pytest.mark.parametrize(
+        "path", sorted(FRACTION_BOUNDARY_FUNCTIONS), ids=str
+    )
+    def test_every_fraction_boundary_entry_is_defined(self, path):
+        """A whitelisted qualname must name a function its module
+        defines: a stale entry would silently whitelist any later
+        function that reuses the name."""
+        tree = ast.parse((SRC / "repro" / path).read_text())
+        defined = {qual for qual, _node in scoped_functions(tree)}
+        stale = FRACTION_BOUNDARY_FUNCTIONS[path] - defined
+        assert not stale, f"{path}: no function named {sorted(stale)}"

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ConfigurationError, ModelViolationError
+from repro.exceptions import (
+    ConfigurationError,
+    ModelViolationError,
+    SimulationError,
+)
 from repro.geometry import cw_arc
 from repro.ring.configs import (
     clustered_configuration,
@@ -15,7 +19,14 @@ from repro.ring.configs import (
 )
 from repro.ring.simulator import RingSimulator
 from repro.ring.state import RingState
-from repro.types import Chirality, LocalDirection, Model
+from repro.ring.stretch import MaterialisedStretch
+from repro.types import (
+    Chirality,
+    LocalDirection,
+    Model,
+    Observation,
+    RoundOutcome,
+)
 
 F = Fraction
 R, L, I = LocalDirection.RIGHT, LocalDirection.LEFT, LocalDirection.IDLE
@@ -86,6 +97,37 @@ class TestRingStateValidation:
         assert st6.index_of_id(3) == 2
         with pytest.raises(ConfigurationError):
             st6.index_of_id(99)
+
+
+class TestSharedScale:
+    """``RingState.scale`` is the lcm of the position denominators: a
+    round commit keeps it (rounds rotate the positions), a position
+    write drops it.  Replayed spans build their integer columns over
+    it and refuse a value off that grid."""
+
+    def test_scale_survives_rotations_and_follows_writes(self):
+        state = make_state(n=6)
+        assert state.scale == 6
+        state.apply_rotation(2)
+        assert state._scale == 6
+        state.positions = [p / 2 for p in state.positions]
+        assert state._scale is None
+        assert state.scale == 12
+
+    def test_replayed_columns_are_numerators_over_the_grid(self):
+        obs = Observation(dist=F(1, 3), coll=F(1, 12))
+        result = MaterialisedStretch(6, [RoundOutcome((obs,) * 5, 0, 0)])
+        assert result.scale == 6
+        assert result.dist_ints(0) == [2] * 5
+        assert result.coll_ints(0) == [1] * 5
+        assert result.np is None and result.dist_ints_all() is None
+
+    def test_replayed_columns_refuse_values_off_the_grid(self):
+        obs = Observation(dist=F(1, 4), coll=F(1, 16))
+        result = MaterialisedStretch(4, [RoundOutcome((obs,) * 5, 0, 0)])
+        assert result.dist_ints(0) == [1] * 5
+        with pytest.raises(SimulationError, match="off the 1/8 grid"):
+            result.coll_ints(0)
 
 
 class TestConfigGenerators:
