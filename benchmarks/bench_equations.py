@@ -7,8 +7,9 @@ The spec engines materialise a ``Fraction`` per cell and eliminate over
 the field.  ``IntEquationSystem`` instead treats each window equation
 as an edge between two prefix sums and keeps a weighted union-find over
 integer numerators on the backends' shared denominator, and the
-columnar ``_GapHarvest`` keeps the sweep harvest as an int matrix with
-Fractions materialised only on read.
+streaming ``_GapHarvest`` checks each chunk of the sweep harvest
+against row 0's rotations as an int matrix and keeps only column 0,
+with Fractions materialised only for the result.
 
 This module times ``engine="int"`` (the default auto path) against
 ``engine="fraction"`` (the untouched spec engines) on the identical

@@ -4,44 +4,54 @@
 The sweeps are the paper's canonical *data-dependent* phases: agents do
 not know n, so the loop closes only when the collected gaps first sum
 to a full turn (rotation 1) or to two full turns (rotation 2, odd n).
-Each sweep therefore plans a :class:`~repro.ring.stretch.
-SpeculativeStretch` -- an optimistic span of identical rounds plus a
-stop predicate that accumulates slot 0's common-frame ``dist()`` values
-and fires on the closing round.  A stretch-capable backend advances the
-whole span vectorised and cuts the commit back to the firing round (a
-rotation-offset rewind); scalar backends interleave execute and
-evaluate, reproducing the legacy loop exactly.  The span length is a
-*harness* hint (``state.n``-sized chunks, same access the legacy bug
-bound uses) -- correctness rests only on the predicate.
+Each sweep therefore plans :class:`~repro.ring.stretch.
+SpeculativeStretch` chunks -- optimistic spans of identical rounds plus
+a stop predicate that accumulates slot 0's common-frame ``dist()``
+values and fires on the closing round.  A stretch-capable backend
+advances a whole chunk vectorised and cuts the commit back to the
+firing round (a rotation-offset rewind); scalar backends interleave
+execute and evaluate, reproducing the legacy loop exactly.  A chunk
+holds at most ``_CHUNK_CELLS`` cells (rows times n), and no chunk
+plans past round n, where a correct sweep closes, until the sweep has
+run that long.  That length is a *harness* hint (``state.n``, the
+access the legacy bug bound uses) -- correctness rests only on the
+predicate.
 
 Harvesting runs on integer numerators over the shared ``scale`` on
-every backend, and is columnar *and lazy*: the stop predicate sums
-slot 0's numerators against ``turns * scale``; under numpy the whole
-span's dist numerators arrive as one ``(k, n)`` int64 matrix (int
-lists per round otherwise), the common-frame conversion is one
-``where`` select, and that is where the work stops -- the harvest just
-files the matrix (plus ``scale``) in a :class:`_GapHarvest`, and
-``ld.gaps`` is set to :class:`LazyGapColumn` views that materialise
-interned Fractions only when some consumer actually reads them
-(mirroring the :class:`~repro.core.population.LazyObsRow` pattern for
-observation rows).  The result collect reads no view either: in the
-common frame slot s's column is slot 0's rotated by ``sign * s``,
-which :func:`collect_gap_rows` checks on every integer cell before
-handing back a :class:`~repro.protocols.base.GapRows` (one base row
-plus rotations).  The rotation-2 sweep checks the same structure on
-its reordered pair sums, inverts one circulant on raw numerators
-(:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums_ints`)
-for every slot that passes, and publishes the solution as one
-``GapRows`` whose rows the ``ld.gaps`` cells view
-(:class:`~repro.protocols.base.GapRowView`), so the collect takes it
-as it stands.  ``engine="fraction"`` feeds the same integer columns
-to the eager Fraction-list harvest and
+every backend, and streams (:class:`_GapHarvest`).  Lemma 1 makes
+every round the same rotation, so in the common frame round t's row
+(one cell per slot) is round 0's rotated by ``t`` places (rotation 1)
+or ``2t`` (rotation 2), in one direction per ring.  Each chunk's
+outcome releases its columns
+(:meth:`~repro.ring.backends.ArrayStretchResult.release_columns`) once
+the harvest holds them -- one ``(k, n)`` int64 matrix under numpy,
+turned into the common frame in place, one int list per round
+otherwise -- and every cell is checked against those rotations of row
+0 (one vectorised compare against a strided view per matrix, one list
+compare per row), folded into the slot totals and slot 0's column,
+and dropped, so a sweep retains O(n).  When every cell passed and the
+rows are exactly a ring's worth, slot s's column is slot 0's rotated by
+``sign * s``, and column 0 is the whole result: the rotation-1 sweep
+interns it, and the rotation-2 sweep inverts one circulant on its
+reorder (round t to index ``2t mod n``) on raw numerators
+(:func:`~repro.analysis.linear_system.solve_cyclic_pair_sums_ints`).
+Either publishes one :class:`~repro.protocols.base.GapRows` whose rows
+the ``ld.gaps`` cells view (:class:`~repro.protocols.base.GapRowView`),
+so the collect takes it as it stands.  Otherwise (a doctored, faulted
+or short run) the harvest rebuilds its blocks from the retained
+outcomes -- a fused span recomputes its columns from its plan, a
+replayed one from its rounds -- and the reference checks find the
+outliers: :func:`_rotation_check` behind the rotation-1 sweep's
+:class:`LazyGapColumn` views, :meth:`_GapHarvest.take_pair_sum_gaps`
+in the rotation-2 sweep.  ``engine="fraction"`` feeds the same integer
+columns to the eager Fraction-list harvest and
 :func:`~repro.analysis.linear_system.solve_cyclic_pair_sums` -- the
 executable spec and the benchmark's baseline side.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -74,10 +84,10 @@ from repro.ring.arrayops import get_numpy
 from repro.ring.stretch import SpeculativeStretch
 from repro.types import Model
 
-#: Upper bound on one speculative chunk (bounds the optimistic column
-#: matrix to ``_MAX_CHUNK * n`` int64 cells; tests shrink it to force
-#: multi-chunk sweeps).
-_MAX_CHUNK = 2048
+#: Cell budget of one speculative chunk, rows times n: the optimistic
+#: column matrix stays near 16 MiB of int64 at any n.  Tests shrink it
+#: to force multi-chunk sweeps.
+_CHUNK_CELLS = 1 << 21
 
 
 def _leader_and_flips(sched: Scheduler):
@@ -171,62 +181,181 @@ def _rotation_check(blocks: Sequence[object], n: int
 
 
 class _GapHarvest:
-    """The integer-mode gap store of one sweep: common-frame dist
-    numerator blocks over one shared ``scale``.
+    """One sweep's integer gap harvest, checked as it streams in.
 
-    A vectorised stretch outcome contributes its whole ``(k, n)``
-    matrix (one ``where`` select, no per-cell Python); any other
-    outcome contributes per-round int lists.  Totals come from column
-    sums (vectorised when the magnitudes provably fit int64, Python
-    ints otherwise), and per-slot Fractions only exist once a
-    :class:`LazyGapColumn` is read.
+    Every round's common-frame dist numerators, over one shared
+    ``scale``, are checked against row 0 rotated by ``step * t``
+    places (``step`` is the sweep's rotation, 1 or 2) in the direction
+    row 1 picks, folded into slot 0's column, and dropped.  The harvest
+    keeps row 0, slot 0's column and the chunk outcomes, which the
+    round history holds anyway.  ``blocks`` are filled only by
+    :meth:`rebuild`, the fallback for rows that fail the check.
     """
 
-    __slots__ = ("n", "scale", "flips", "cache", "blocks", "rounds",
-                 "_flip_mask")
+    __slots__ = ("n", "step", "scale", "flips", "cache", "results",
+                 "rounds", "column0", "passed", "direction", "blocks",
+                 "_ext", "_windows", "_flip")
 
-    def __init__(self, n: int, scale: int, flips, cache: Dict) -> None:
+    def __init__(self, n: int, step: int, scale: int, flips,
+                 cache: Dict) -> None:
         self.n = n
+        self.step = step
         self.scale = scale
         self.flips = flips
         self.cache = cache
-        self.blocks: List[object] = []
+        self.results: List[object] = []
         self.rounds = 0
-        self._flip_mask = None
+        self.column0: List[int] = []
+        self.passed = True
+        self.direction: Optional[int] = None
+        self.blocks: List[object] = []
+        self._ext: List[int] = []
+        self._windows = None
+        self._flip = None
+
+    def _row(self, result, j: int) -> List[int]:
+        """Round ``j`` of ``result`` in the common frame."""
+        scale = self.scale
+        return [scale - v if flip and v else v
+                for flip, v in zip(self.flips, result.dist_ints(j))]
+
+    def _common(self, result):
+        """``result``'s common-frame numerators: one ``(k, n)`` int64
+        matrix on the vectorised representation, else one int list per
+        round.  The outcome releases its columns, so the matrix is the
+        harvest's and turns into the common frame in place: a flipped
+        column is ``scale - v``, one multiply-add per cell with no
+        per-cell Python, and a zero stays zero."""
+        xp = result.np
+        if xp is None:
+            return [self._row(result, j) for j in range(result.k)]
+        common = result.dist_ints_all()
+        result.release_columns()
+        if self._flip is None:
+            flip = xp.asarray([bool(f) for f in self.flips])
+            self._flip = (
+                xp.where(flip, -1, 1).astype(common.dtype),
+                xp.where(flip, self.scale, 0).astype(common.dtype),
+            )
+        factor, shift = self._flip
+        zero = common == 0
+        common *= factor
+        common += shift
+        xp.putmask(common, zero, 0)
+        return common
 
     def add_result(self, result, want_totals: bool):
-        """File every committed round of ``result``; returns the
-        block's per-slot totals as ints over ``scale`` (or None)."""
-        scale = self.scale
-        xp = result.np
-        if xp is not None:
-            matrix = result.dist_ints_all()
-            if self._flip_mask is None:
-                self._flip_mask = xp.asarray(
-                    [bool(f) for f in self.flips]
-                )
-            common = xp.where(
-                self._flip_mask[None, :] & (matrix != 0),
-                scale - matrix, matrix,
-            )
-            self.blocks.append(common)
-            self.rounds += result.k
-            if not want_totals:
-                return None
-            if scale.bit_length() + result.k.bit_length() <= 61:
-                return common.sum(axis=0).tolist()
-            return [sum(col) for col in zip(*common.tolist())]
-        flips = self.flips
-        rows = [
-            [scale - v if flip and v else v
-             for flip, v in zip(flips, result.dist_ints(j))]
-            for j in range(result.k)
-        ]
-        self.blocks.append(rows)
-        self.rounds += result.k
-        if not want_totals:
+        """Check and fold every committed round of ``result``; returns
+        the chunk's per-slot totals as ints over ``scale`` (or None).
+        The caller releases the outcome's columns afterwards."""
+        start, k = self.rounds, result.k
+        totals = None
+        if result.np is not None:
+            common = self._common(result)
+            self._check_block(result.np, common, start)
+            self.column0.extend(common[:, 0].tolist())
+            if want_totals:
+                if self.scale.bit_length() + k.bit_length() <= 61:
+                    totals = common.sum(axis=0).tolist()
+                else:
+                    totals = [sum(col) for col in zip(*common.tolist())]
+        else:
+            if want_totals:
+                totals = [0] * self.n
+            for j in range(k):
+                row = self._row(result, j)
+                self._check_row(row, start + j)
+                self.column0.append(row[0])
+                if totals is not None:
+                    totals = list(map(operator.add, totals, row))
+        self.results.append(result)
+        self.rounds += k
+        return totals
+
+    def _offset(self, t: int) -> int:
+        """Where row t starts in ``_ext`` (row 0 repeated ``step + 1``
+        times): row t is row 0 rotated left by ``direction * step * t``
+        places."""
+        return self.step * (t if self.direction > 0 else self.n - t)  # type: ignore[operator]
+
+    def _pick_direction(self, row: List[int]) -> bool:
+        """Take the rotation's direction from row 1: +1 when it is row
+        0 rotated left by ``step`` places (also when the two rotations
+        coincide), -1 when rotated right; False when it is neither."""
+        ext, n, step = self._ext, self.n, self.step
+        if row == ext[step:step + n]:
+            self.direction = 1
+        elif row == ext[n - step:2 * n - step]:
+            self.direction = -1
+        return self.direction is not None
+
+    def _check_row(self, row: List[int], t: int) -> None:
+        """One list compare of round ``t``'s row."""
+        if not self.passed:
+            return
+        if t == 0:
+            self._ext = row * (self.step + 1)
+        elif t >= self.n or (t == 1 and not self._pick_direction(row)):
+            self.passed = False
+        else:
+            o = self._offset(t)
+            self.passed = row == self._ext[o:o + self.n]
+
+    def _check_block(self, np, block, start: int) -> None:
+        """One vectorised compare of rows ``start..`` against a strided
+        view of their windows of ``_ext`` (no copy)."""
+        if not self.passed:
+            return
+        n, step, k = self.n, self.step, len(block)
+        if start == 0:
+            self._ext = block[0].tolist() * (step + 1)
+        if start + k > n or (
+            start <= 1 < start + k
+            and not self._pick_direction(block[1 - start].tolist())
+        ):
+            self.passed = False
+            return
+        if self.direction is None:  # row 0 alone so far
+            return
+        if self._windows is None:
+            ext = np.asarray(self._ext, dtype=block.dtype)
+            self._windows = np.lib.stride_tricks.sliding_window_view(ext, n)
+        first = self._offset(start)
+        stride = step * self.direction
+        view = self._windows[first:first + stride * k:stride]
+        self.passed = bool((block == view).all())
+
+    def ring_rows(self) -> Optional[GapRows]:
+        """The sweep's rows, when every cell passed the check and the
+        rows are exactly a ring's worth; else None.
+
+        Slot s's column is then column 0 rotated by ``direction * s``:
+        the rotation-1 sweep's rows are column 0's rotations, and the
+        rotation-2 sweep's are those of one circulant solve of column
+        0's reorder (round t to index ``2t mod n``).  ``direction`` is
+        the sign :func:`_rotation_check` picks: row 1 picks -1 only
+        when it is row 0 rotated right and not left, which is when the
+        rotations of column 0 (reordered) do not coincide and slot 1's
+        column is column 0 rotated by -1.
+        """
+        n = self.n
+        if not self.passed or self.rounds != n:
             return None
-        return [sum(col) for col in zip(*rows)]
+        base = self.column0
+        if self.step == 1:
+            gaps = intern_fractions(base, self.scale, self.cache)
+        else:
+            ordered = [0] * n
+            for t, value in enumerate(base):
+                ordered[(2 * t) % n] = value
+            gaps = solve_cyclic_pair_sums_ints(ordered, self.scale, cache={})
+        return GapRows(gaps, n, self.direction)  # type: ignore[arg-type]
+
+    def rebuild(self) -> None:
+        """Recompute every block from the retained outcomes, for the
+        reference checks: a fused span recomputes its columns from its
+        plan, a replayed one from its rounds."""
+        self.blocks = [self._common(result) for result in self.results]
 
     def column_ints(self, slot: int) -> List[int]:
         """Slot's collected numerators over ``scale``, in round order."""
@@ -239,7 +368,8 @@ class _GapHarvest:
         )
 
     def gap_rows(self) -> GapRows:
-        """The rotation-1 sweep's result rows, read off the harvest.
+        """The rotation-1 sweep's result rows, read off the rebuilt
+        blocks (the fallback of :meth:`ring_rows`).
 
         Slot s collects the ring's gaps from its own slot, so its
         column is slot 0's rotated by ``sign * s``.  That is checked on
@@ -254,7 +384,8 @@ class _GapHarvest:
         )
 
     def take_pair_sum_gaps(self) -> GapRows:
-        """Every slot's gaps from its rotation-2 pair sums.
+        """Every slot's gaps from its rotation-2 pair sums, off the
+        rebuilt blocks (the fallback of :meth:`ring_rows`).
 
         Round t's pair sum belongs at index ``(2t) % rounds`` of the
         slot's pair-sum vector.  After that reorder (one fancy index
@@ -311,14 +442,15 @@ class _GapHarvest:
 def collect_gap_rows(cells: Sequence[object]) -> GapRows:
     """The ``gaps_by_agent`` rows of a finished location discovery.
 
-    ``cells`` are the agents' ``ld.gaps`` values.  When they are the
-    rotation-1 sweep's own views, one per slot of one harvest, the rows
-    come straight off its integer blocks (:meth:`_GapHarvest.gap_rows`);
-    when they are the rotation-2 sweep's views, one per row of one
+    ``cells`` are the agents' ``ld.gaps`` values.  When they are a
+    sweep's views, one per row of one
     :class:`~repro.protocols.base.GapRows`, that is the result as it
-    stands.  Anything else (plain lists from Algorithm 6, the
-    ``fraction`` backend or the callback drivers, or a doctored cell)
-    goes through the reference :meth:`GapRows.from_rows`.
+    stands.  When they are the rotation-1 sweep's fallback views, one
+    per slot of one harvest, the rows come straight off its rebuilt
+    integer blocks (:meth:`_GapHarvest.gap_rows`).  Anything else
+    (plain lists from Algorithm 6, the ``fraction`` backend or the
+    callback drivers, or a doctored cell) goes through the reference
+    :meth:`GapRows.from_rows`.
     """
     first = cells[0] if cells else None
     if isinstance(first, LazyGapColumn):
@@ -417,15 +549,17 @@ def _sweep_gaps(sched: Scheduler, vector, flips, turns: int,
                 label: str, want_totals: bool = True,
                 engine: Optional[str] = None):
     """Run one sweep speculatively until slot 0's collected gaps sum to
-    ``turns`` full turns; returns ``(collected, rounds, totals,
-    scale)`` where ``totals`` holds every slot's running sum as
-    numerators over ``scale``.
+    ``turns`` full turns; returns ``(gaps, rounds, totals, scale)``
+    where ``totals`` holds every slot's running sum as numerators over
+    ``scale``.
 
     The stop predicate sums slot 0's integer dist numerators over the
     first executed round's ``scale`` and fires on ``turns * scale``.
-    ``collected`` holds :class:`LazyGapColumn` views over one
-    :class:`_GapHarvest`, or, under ``engine="fraction"``, the eager
-    Fraction lists of the spec harvest.
+    ``gaps`` is the streaming :class:`_GapHarvest` (round t's row is
+    row 0 rotated by ``turns * t`` places), or, under
+    ``engine="fraction"``, every slot's eager Fraction list from the
+    spec harvest.  Each chunk's outcome releases its columns once
+    harvested.
     """
     if engine not in (None, "int", "fraction"):
         raise ProtocolError(f"unknown harvest engine {engine!r}")
@@ -434,8 +568,9 @@ def _sweep_gaps(sched: Scheduler, vector, flips, turns: int,
     collected: List[List[Fraction]] = [[] for _ in range(n)]
     # Same harness access the legacy bug bound uses; correctness never
     # depends on it -- the predicate alone decides the span's length.
-    bound = 4 * sched.state.n + 8
-    hint = min(sched.state.n, _MAX_CHUNK)
+    ring = sched.state.n
+    bound = 4 * ring + 8
+    rows = max(1, _CHUNK_CELLS // n)
     flip0 = bool(flips[0])
     cache: Dict[int, Fraction] = {}
     harvest: Optional[_GapHarvest] = None
@@ -456,10 +591,12 @@ def _sweep_gaps(sched: Scheduler, vector, flips, turns: int,
         return False
 
     while True:
-        chunk = min(hint, bound + 1 - executed)
-        result = sched.run_stretch(
-            SpeculativeStretch(vector, chunk, stop=stop)
-        )
+        # A correct sweep closes on its n-th round, so no chunk plans
+        # past it until the sweep has run that long.
+        limit = ring if executed < ring else bound + 1
+        result = sched.run_stretch(SpeculativeStretch(
+            vector, min(rows, limit - executed), stop=stop
+        ))
         scale = result.scale
         if engine == "fraction":
             block_totals = _harvest_block(
@@ -467,19 +604,17 @@ def _sweep_gaps(sched: Scheduler, vector, flips, turns: int,
             )
         else:
             if harvest is None:
-                harvest = _GapHarvest(n, scale, flips, cache)
+                harvest = _GapHarvest(n, turns, scale, flips, cache)
             block_totals = harvest.add_result(result, want_totals)
+        result.release_columns()
         if totals is None:
             totals = block_totals
         elif block_totals is not None:
             totals = [a + b for a, b in zip(totals, block_totals)]
         executed += result.k
         if fired[0]:
-            if harvest is not None:
-                collected = [
-                    LazyGapColumn(harvest, slot) for slot in range(n)
-                ]
-            return collected, executed, totals, scale
+            gaps = collected if harvest is None else harvest
+            return gaps, executed, totals, scale
         if executed > bound:
             raise ProtocolError(f"{label} sweep failed to close: bug")
 
@@ -495,13 +630,23 @@ def sweep_rotation_one(
     vector = aligned_vector(
         flips, [RIGHT if lead else IDLE for lead in is_leader]
     )
-    collected, rounds, totals, scale = _sweep_gaps(
+    gaps, rounds, totals, scale = _sweep_gaps(
         sched, vector, flips, 1, "rotation-1", engine=engine
     )
     for total in totals:
         if total != scale:
             raise ProtocolError("agent's sweep did not cover a full turn")
-    population.set_column(KEY_LD_GAPS, collected)
+    if isinstance(gaps, _GapHarvest):
+        # Integer mode: every slot's cell views its row of one GapRows,
+        # or, when some cell failed the streaming check, its column of
+        # the rebuilt harvest.
+        rows = gaps.ring_rows()
+        if rows is None:
+            gaps.rebuild()
+            gaps = [LazyGapColumn(gaps, slot) for slot in range(gaps.n)]
+        else:
+            gaps = [GapRowView(rows, slot) for slot in range(len(rows))]
+    population.set_column(KEY_LD_GAPS, gaps)
     return rounds
 
 
@@ -519,21 +664,24 @@ def sweep_rotation_two(
         flips, [RIGHT if lead else LEFT for lead in is_leader]
     )
     # n pair sums cover every gap exactly twice (odd n): total 2.
-    collected, rounds, _totals, _scale = _sweep_gaps(
+    gaps, rounds, _totals, _scale = _sweep_gaps(
         sched, vector, flips, 2, "rotation-2",
         want_totals=False, engine=engine,
     )
 
     gaps_column: List[Sequence[Fraction]] = []
-    if collected and isinstance(collected[0], LazyGapColumn):
-        # Integer mode: reorder and invert the circulant on raw
-        # numerators, once for every slot whose pair sums are slot 0's
-        # rotated (the harvest is consumed); each slot's cell is a view
-        # of its row of the one GapRows.
-        rows = collected[0]._harvest.take_pair_sum_gaps()
+    if isinstance(gaps, _GapHarvest):
+        # Integer mode: one circulant solve of slot 0's reordered pair
+        # sums when every cell passed the streaming check, else the
+        # rebuilt harvest's reorder and per-outlier solves; each slot's
+        # cell is a view of its row of the one GapRows.
+        rows = gaps.ring_rows()
+        if rows is None:
+            gaps.rebuild()
+            rows = gaps.take_pair_sum_gaps()
         gaps_column = [GapRowView(rows, slot) for slot in range(len(rows))]
     else:
-        for pair_sums in collected:
+        for pair_sums in gaps:
             count = len(pair_sums)
             # Round t was observed from slot (own + 2t): reorder the
             # pair sums into consecutive-j form before inverting the

@@ -673,6 +673,20 @@ class _FusedSpan:
         span.rotations = self.rotations[:kept]
         return span
 
+    def round(self, j: int) -> "_FusedSpan":
+        """Round ``j`` of this span as a one-round span: it starts at
+        ``start`` plus the rotations of the rounds before it."""
+        span = copy.copy(self)
+        rotations = self.rotations
+        span.start = (self.start + sum(rotations[:j])) % self.n
+        span.rotations = rotations[j:j + 1]
+        for row, count in self.rows:
+            if j < count:
+                span.rows = [(row, 1)]
+                break
+            j -= count
+        return span
+
 
 def _span_dist(span: _FusedSpan):
     """A span's agent-frame ``dist()`` numerators over ``scale``: a
@@ -792,6 +806,11 @@ class ArrayStretchResult:
     to, and shares objects with, the scalar path's output at that
     scale).  A result holds no reference to its backend.
 
+    The columns are a cache, not state: once a harvest has read them it
+    calls :meth:`release_columns`, and every later read recomputes
+    just what it asks for, so a span in the round history pins no
+    ``(k, n)`` matrix.
+
     ``np`` is the numpy module when the columns are int64 ndarrays
     (vectorised consumers branch on it), else None (stdlib ``array``
     fallback rows).
@@ -799,7 +818,7 @@ class ArrayStretchResult:
 
     __slots__ = (
         "k", "n", "scale", "rotations", "collision_events",
-        "np", "_span", "_dist", "_coll", "_obs",
+        "np", "_span", "_dist", "_coll", "_obs", "_released",
     )
 
     def __init__(self, span: _FusedSpan) -> None:
@@ -813,15 +832,28 @@ class ArrayStretchResult:
         self._dist = None
         self._coll = None
         self._obs: Dict[int, Tuple[Observation, ...]] = {}
+        self._released = False
+
+    def release_columns(self) -> None:
+        """Drop the computed ``dist()``/``coll()`` columns.  From now on
+        a round's read recomputes only that round (:meth:`_FusedSpan.
+        round`), and a whole-span read is recomputed and not kept, so a
+        matrix handed out before is its reader's to reuse."""
+        self._dist = self._coll = None
+        self._released = True
 
     def _dist_columns(self):
         dist = self._dist
         if dist is None:
-            dist = self._dist = _span_dist(self._span)
+            dist = _span_dist(self._span)
+            if not self._released:
+                self._dist = dist
         return dist
 
     def dist_ints(self, j: int):
         """Round ``j``'s dist numerators over ``scale`` (agent frame)."""
+        if self._released:
+            return _span_dist(self._span.round(j))[0]
         return self._dist_columns()[j]
 
     def coll_ints(self, j: int):
@@ -829,6 +861,8 @@ class ArrayStretchResult:
         or None when the model reports no collisions."""
         if not self._span.need_coll:
             return None
+        if self._released:
+            return _span_coll(self._span.round(j))[0]
         coll = self._coll
         if coll is None:
             coll = self._coll = _span_coll(self._span)

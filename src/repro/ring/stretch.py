@@ -28,7 +28,10 @@ Every stretch outcome exposes the same duck-typed surface:
   span's ``coll_ints`` only when the model reports no collisions;
 * ``dist_ints_all()`` -- the whole span's dist numerators as one
   ``(k, n)`` matrix when the vectorised representation has one, else
-  None (columnar harvests branch on it).
+  None (columnar harvests branch on it);
+* ``release_columns()`` -- drop the integer columns computed so far
+  (a harvest calls it once it has read them); later reads rebuild
+  what they ask for, so the round history pins no ``(k, n)`` matrix.
 
 Positions stay on ``Z/D`` for the whole run (Lemma 1), so the integer
 columns exist on every backend.  :class:`MaterialisedStretch` is the
@@ -291,3 +294,8 @@ class MaterialisedStretch:
     def dist_ints_all(self) -> None:
         """No ``(k, n)`` matrix on this representation."""
         return None
+
+    def release_columns(self) -> None:
+        """Drop the integer columns built so far; the rounds stay, so
+        a later read builds its column again."""
+        self._ints.clear()

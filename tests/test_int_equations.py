@@ -25,10 +25,11 @@ from repro.analysis.linear_system import (
 from repro.core.scheduler import Scheduler
 from repro.exceptions import ProtocolError, SingularSystemError
 from repro.experiments.harness import _speculative_preset
-from repro.protocols.base import KEY_LD_GAPS
+from repro.protocols.base import KEY_LD_GAPS, GapRowView
 from repro.protocols.policies.distances import discover_distances
 from repro.protocols.policies.location_discovery import (
     LazyGapColumn,
+    _GapHarvest,
     sweep_rotation_one,
     sweep_rotation_two,
 )
@@ -374,11 +375,15 @@ class TestColumnarSweepHarvest:
             sched = _sweep_sched(9, seed=2, model=Model.LAZY)
             rounds = sweep_rotation_one(sched, engine=engine)
             column = sched.population.get_column(KEY_LD_GAPS)
-            results[engine] = (rounds, [list(cells) for cells in column])
             if engine == "int":
+                # Views of one GapRows, none of them read yet.
                 assert all(
-                    isinstance(cells, LazyGapColumn) for cells in column
+                    isinstance(cells, GapRowView)
+                    and cells.rows is column[0].rows
+                    and cells._cells is None
+                    for cells in column
                 )
+            results[engine] = (rounds, [list(cells) for cells in column])
         assert results["int"] == results["fraction"]
 
     def test_rotation_two_engines_agree(self):
@@ -390,7 +395,10 @@ class TestColumnarSweepHarvest:
             results[engine] = (rounds, [list(cells) for cells in column])
         assert results["int"] == results["fraction"]
 
-    def test_lazy_column_contract(self):
+    def test_lazy_column_contract(self, monkeypatch):
+        # Rows that fail the streaming check (forced here) leave the
+        # rotation-1 sweep's cells as views over the rebuilt harvest.
+        monkeypatch.setattr(_GapHarvest, "ring_rows", lambda self: None)
         sched = _sweep_sched(7, seed=1, model=Model.LAZY)
         sweep_rotation_one(sched)
         column = sched.population.get_column(KEY_LD_GAPS)

@@ -129,13 +129,13 @@ class TestStopPredicate:
 class TestSpeculativeSweepChunking:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_multi_chunk_sweeps_stay_bit_exact(self, backend, monkeypatch):
-        # Chunks of 3 force several speculative spans plus a mid-chunk
-        # truncation; results must not move.
+        # Chunks of 3 force several speculative spans; results must
+        # not move.
         from repro.protocols.policies import location_discovery as native
 
         def run(chunk):
             if chunk is not None:
-                monkeypatch.setattr(native, "_MAX_CHUNK", chunk)
+                monkeypatch.setattr(native, "_CHUNK_CELLS", chunk * 9)
             session = RingSession(
                 n=9, model="lazy", backend=backend, seed=5,
             )
